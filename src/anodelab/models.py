@@ -79,10 +79,12 @@ def augment(x: Tensor, p: int) -> Tensor:
     return tg.concat([x, zeros], axis=-1)
 
 
-def _init_linear(params: ParamSet, rng, name: str, fan_in: int, fan_out: int):
+def _init_linear(params: ParamSet, rng, name: str, fan_in: int,
+                 fan_out: int) -> tuple[Tensor, Tensor]:
     bound = 1.0 / np.sqrt(fan_in)
-    params.add(f"{name}.w", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    params.add(f"{name}.b", np.zeros(fan_out))
+    w = params.add(f"{name}.w", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    b = params.add(f"{name}.b", np.zeros(fan_out))
+    return w, b
 
 
 def _init_conv(params: ParamSet, rng, name: str, out_c: int, in_c: int, k: int):
@@ -92,8 +94,12 @@ def _init_conv(params: ParamSet, rng, name: str, out_c: int, in_c: int, k: int):
     params.add(f"{name}.b", np.zeros(out_c))
 
 
-def _linear(params: ParamSet, name: str, x: Tensor) -> Tensor:
-    return tg.matmul(x, params[f"{name}.w"]) + params[f"{name}.b"]
+def _init_mlp(params: ParamSet, rng, prefix: str, in_dim: int, hidden: int,
+              out_dim: int) -> list[tuple[Tensor, Tensor]]:
+    """Layers in_dim -> hidden -> hidden -> out_dim named {prefix}.l1..l3."""
+    widths = (in_dim, hidden, hidden, out_dim)
+    return [_init_linear(params, rng, f"{prefix}.l{i + 1}", widths[i], widths[i + 1])
+            for i in range(3)]
 
 
 class MlpDynamics:
@@ -104,20 +110,16 @@ class MlpDynamics:
         self.params = params
         self.dim = dim
         self.prefix = prefix
+        self.layers = [(params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
+                       for i in (1, 2, 3)]
 
     @staticmethod
     def init(params: ParamSet, rng, dim: int, hidden: int, prefix: str = "dyn"):
-        _init_linear(params, rng, f"{prefix}.l1", dim + 1, hidden)
-        _init_linear(params, rng, f"{prefix}.l2", hidden, hidden)
-        _init_linear(params, rng, f"{prefix}.l3", hidden, dim)
+        _init_mlp(params, rng, prefix, dim + 1, hidden, dim)
         return MlpDynamics(params, dim, hidden, prefix)
 
     def eval(self, h: Tensor, t: float) -> Tensor:
-        tcol = Tensor(np.full(h.shape[:-1] + (1,), t))
-        z = tg.concat([h, tcol], axis=-1)
-        z = tg.relu(_linear(self.params, f"{self.prefix}.l1", z))
-        z = tg.relu(_linear(self.params, f"{self.prefix}.l2", z))
-        return _linear(self.params, f"{self.prefix}.l3", z)
+        return tg.mlp(h, t, self.layers)
 
 
 class ConvDynamics:
@@ -153,28 +155,11 @@ class ConvDynamics:
                          p[f"{self.prefix}.c3.b"], padding=0)
 
 
-class _ResLayer:
-    """One residual update's MLP d -> hidden -> hidden -> d (no time input)."""
-
-    def __init__(self, params: ParamSet, prefix: str):
-        self.params = params
-        self.prefix = prefix
-
-    @staticmethod
-    def init(params: ParamSet, rng, dim: int, hidden: int, prefix: str):
-        _init_linear(params, rng, f"{prefix}.l1", dim, hidden)
-        _init_linear(params, rng, f"{prefix}.l2", hidden, hidden)
-        _init_linear(params, rng, f"{prefix}.l3", hidden, dim)
-        return _ResLayer(params, prefix)
-
-    def eval(self, h: Tensor) -> Tensor:
-        z = tg.relu(_linear(self.params, f"{self.prefix}.l1", h))
-        z = tg.relu(_linear(self.params, f"{self.prefix}.l2", z))
-        return _linear(self.params, f"{self.prefix}.l3", z)
-
-
 class Model:
-    """A built model: parameters plus the forward machinery for its spec."""
+    """A built model: parameters plus the forward machinery for its spec.
+
+    For the resnet baseline, ``layers`` holds each residual update's MLP
+    d -> hidden -> hidden -> d (no time input) as tg.mlp layers."""
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
@@ -182,17 +167,15 @@ class Model:
         rng = np.random.default_rng(seed)
         d = spec.state_dim
         if spec.kind == "resnet":
-            self.layers = [
-                _ResLayer.init(self.params, rng, d, spec.hidden_dim, f"res.{i}")
-                for i in range(spec.resnet_layers)
-            ]
+            self.layers = [_init_mlp(self.params, rng, f"res.{i}", d, spec.hidden_dim, d)
+                           for i in range(spec.resnet_layers)]
             self.dynamics = None
         elif spec.conv:
             self.dynamics = ConvDynamics.init(self.params, rng, d, spec.hidden_dim)
         else:
             self.dynamics = MlpDynamics.init(self.params, rng, d, spec.hidden_dim)
         if spec.head == "affine":
-            _init_linear(self.params, rng, "head", d, spec.output_dim)
+            self._head = [_init_linear(self.params, rng, "head", d, spec.output_dim)]
 
     def param_count(self) -> int:
         return self.params.num_elements()
@@ -202,7 +185,15 @@ class Model:
             return state
         if state.data.ndim == 4:
             state = tg.tmean(state, axis=(2, 3))  # global average pool
-        return _linear(self.params, "head", state)
+        return tg.mlp(state, None, self._head)
+
+
+def _residual_states(model: Model, x: Tensor) -> list[Tensor]:
+    """States of the resnet baseline: x, then after each h <- h + f_i(h)."""
+    states = [x]
+    for layer in model.layers:
+        states.append(states[-1] + tg.mlp(states[-1], None, layer))
+    return states
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -231,10 +222,7 @@ def features(model: Model, x: Tensor,
     batch's RMS error to them, so for a batch its state at T may differ."""
     spec = model.spec
     if spec.kind == "resnet":
-        h = x
-        for layer in model.layers:
-            h = h + layer.eval(h)
-        return h
+        return _residual_states(model, x)[-1]
     h0 = augment(x, spec.aug)
     sol = integrate(model.dynamics, h0, 0.0, spec.T, [spec.T], cfg,
                     per_sample=True)
@@ -255,10 +243,7 @@ def invert_features(model: Model, feat: Tensor,
 
 
 def resnet_forward(model: Model, x: Tensor) -> Tensor:
-    h = x
-    for layer in model.layers:
-        h = h + layer.eval(h)
-    return model.head(h)
+    return model.head(_residual_states(model, x)[-1])
 
 
 def flow_trajectory(model: Model, points: np.ndarray, n_times: int,
@@ -275,12 +260,8 @@ def flow_trajectory(model: Model, points: np.ndarray, n_times: int,
         if spec.kind == "resnet":
             # residual updates sampled at layer boundaries, rescaled to [0, T]
             times = list(np.linspace(0.0, spec.T, spec.resnet_layers + 1))
-            h = Tensor(pts)
-            traj = [h.data.copy()]
-            for layer in model.layers:
-                h = h + layer.eval(h)
-                traj.append(h.data.copy())
-            states = np.stack(traj, axis=1)
+            states = np.stack([h.data for h in _residual_states(model, Tensor(pts))],
+                              axis=1)
         else:
             h0 = augment(Tensor(pts), spec.aug)
             sol = integrate(model.dynamics, h0, 0.0, spec.T, times, cfg)

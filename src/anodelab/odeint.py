@@ -180,12 +180,9 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
 
     counting = _CountingDynamics(f)
     if cfg.method == "dopri5":
-        sol = _integrate_dopri5(counting, x0, t0, t1, eval_times, cfg,
-                                direction, per_sample)
-    else:
-        sol = _integrate_fixed(counting, x0, t0, t1, eval_times, cfg, direction)
-    sol.nfe = counting.nfe
-    return sol
+        return _integrate_dopri5(counting, x0, t0, t1, eval_times, cfg,
+                                 direction, per_sample)
+    return _integrate_fixed(counting, x0, t0, t1, eval_times, cfg, direction)
 
 
 def _record(out_times, out_states, t, h, eval_times, idx, direction):
@@ -203,7 +200,7 @@ def _integrate_dopri5(f, x0, t0, t1, eval_times, cfg, direction, per_sample):
     idx = _record(out_times, out_states, t, h, eval_times, 0, direction)
     accepted = rejected = 0
     if idx >= len(eval_times) and abs(t1 - t0) < 1e-15:
-        return OdeSolution(out_times, out_states, 0, 0, 0)
+        return OdeSolution(out_times, out_states, f.nfe, 0, 0)
 
     k1 = f.eval(h, t)
     dt = direction * _initial_step(k1.data, x0.data, abs(t1 - t0), cfg)
@@ -232,7 +229,7 @@ def _integrate_dopri5(f, x0, t0, t1, eval_times, cfg, direction, per_sample):
             rejected += 1
         dt = direction * dt_mag
     idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-    return OdeSolution(out_times, out_states, 0, accepted, rejected)
+    return OdeSolution(out_times, out_states, f.nfe, accepted, rejected)
 
 
 def _euler_step(f, h, t, dt):
@@ -276,7 +273,7 @@ def _integrate_fixed(f, x0, t0, t1, eval_times, cfg, direction):
             accepted += 1
         t = target
         idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-    return OdeSolution(out_times, out_states, 0, accepted, 0)
+    return OdeSolution(out_times, out_states, f.nfe, accepted, 0)
 
 
 def integrate_backward(f: Dynamics, xT: Tensor, t1: float, t0: float,

@@ -11,6 +11,7 @@ is no general broadcasting beyond bias addition.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -194,7 +195,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
 
-    return _out("add", (a, b), a.data + b.data, _pairs(bwd))
+    return _out("add", (a, b), a.data + b.data, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -203,7 +204,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
 
-    return _out("sub", (a, b), a.data - b.data, _pairs(bwd))
+    return _out("sub", (a, b), a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -215,14 +216,14 @@ def mul(a: Tensor, b) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g * bd, a.shape)), (b, _unbroadcast(g * ad, b.shape)))
 
-    return _out("mul", (a, b), ad * bd, _pairs(bwd))
+    return _out("mul", (a, b), ad * bd, bwd)
 
 
 def smul(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         return ((a, g * c),)
 
-    return _out("smul", (a,), a.data * c, _pairs(bwd))
+    return _out("smul", (a,), a.data * c, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -237,7 +238,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return ((a, np.outer(g, bd)), (b, ad.T @ g))
         return ((a, g @ bd.T), (b, ad.T @ g))
 
-    return _out("matmul", (a, b), ad @ bd, _pairs(bwd))
+    return _out("matmul", (a, b), ad @ bd, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -246,7 +247,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * mask),)
 
-    return _out("relu", (a,), np.where(mask, a.data, 0.0), _pairs(bwd))
+    return _out("relu", (a,), np.where(mask, a.data, 0.0), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -265,7 +266,60 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         parts = np.split(g, splits, axis=axis)
         return tuple(zip(tensors, parts))
 
-    return _out("concat", tuple(tensors), out, _pairs(bwd))
+    return _out("concat", tuple(tensors), out, bwd)
+
+
+def mlp(x: Tensor, t: float | None,
+        layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Multilayer perceptron on a (B, n) input as a single tape node.
+
+    Each (W, b) layer maps z to z @ W + b, followed by ReLU on every layer but
+    the last, which is affine.  A float t is appended to every row as an extra
+    input column; t=None means no time input.  Forward and backward repeat,
+    operation for operation, the NumPy arithmetic of the unfused chain
+    concat -> (matmul, add, relu)* -> matmul, add, so values and gradients are
+    bit-identical to it."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"mlp: input must be 2-d, got {x.shape}")
+    if not layers:
+        raise ShapeError("mlp: no layers")
+    width = x.shape[1] + (t is not None)
+    for w, b in layers:
+        if w.data.ndim != 2 or w.shape[0] != width:
+            raise ShapeError(f"mlp: weight {w.shape} does not take width {width}")
+        if b.shape != (w.shape[1],):
+            raise ShapeError(f"mlp: bias {b.shape} does not match weight {w.shape}")
+        width = w.shape[1]
+    z = x.data
+    if t is not None:
+        if not math.isfinite(t):
+            raise ValueError(f"mlp: non-finite time {t}")
+        z = np.concatenate([z, np.full(z.shape[:-1] + (1,), t)], axis=-1)
+    acts = [z]      # input of each layer
+    masks = []      # ReLU mask of each hidden layer
+    for w, b in layers[:-1]:
+        pre = z @ w.data + b.data
+        mask = pre > 0.0  # gradient at exactly 0 is defined as 0, as in relu
+        z = np.where(mask, pre, 0.0)
+        acts.append(z)
+        masks.append(mask)
+    w, b = layers[-1]
+    out = z @ w.data + b.data
+
+    def bwd(g):
+        grads = []
+        for i in range(len(layers) - 1, -1, -1):
+            w, b = layers[i]
+            if i < len(masks):
+                g = g * masks[i]
+            grads.append((b, _unbroadcast(g, b.shape)))
+            grads.append((w, acts[i].T @ g))
+            g = g @ w.data.T
+        grads.append((x, g[:, :-1] if t is not None else g))
+        return grads
+
+    inputs = (x,) + tuple(p for layer in layers for p in layer)
+    return _out("mlp", inputs, out, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -278,7 +332,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _out("reshape", (a,), out, _pairs(bwd))
+    return _out("reshape", (a,), out, bwd)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
@@ -287,7 +341,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
             return ((a, np.full(a.shape, float(g))),)
         return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()),)
 
-    return _out("sum", (a,), np.sum(a.data, axis=axis), _pairs(bwd))
+    return _out("sum", (a,), np.sum(a.data, axis=axis), bwd)
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
@@ -306,7 +360,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
             ge = np.expand_dims(ge, ax)
         return ((a, np.broadcast_to(ge, a.shape) / n),)
 
-    return _out("mean", (a,), np.mean(a.data, axis=axis), _pairs(bwd))
+    return _out("mean", (a,), np.mean(a.data, axis=axis), bwd)
 
 
 def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
@@ -325,7 +379,7 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
 
-    return _out("lincomb", tuple(tensors), acc, _pairs(bwd))
+    return _out("lincomb", tuple(tensors), acc, bwd)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
@@ -365,7 +419,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
 
-    return _out("conv2d", tuple(inputs), out, _pairs(bwd))
+    return _out("conv2d", tuple(inputs), out, bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -384,16 +438,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         gl[np.arange(n), labels] -= 1.0
         return ((logits, gl * (float(g) / n)),)
 
-    return _out("softmax_xent", (logits,), np.float64(nll), _pairs(bwd))
-
-
-def _pairs(fn):
-    """Adapt a backward closure returning (tensor, grad) pairs to node-id pairs."""
-
-    def run(node, g):
-        return fn(g)
-
-    return run
+    return _out("softmax_xent", (logits,), np.float64(nll), bwd)
 
 
 def backward(graph: CompGraph, loss: Tensor) -> None:
@@ -416,7 +461,7 @@ def backward(graph: CompGraph, loss: Tensor) -> None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += g
         else:
-            for src, gi in node.backward_fn(node, g):
+            for src, gi in node.backward_fn(g):
                 sid = src._id
                 grads[sid] = gi if grads[sid] is None else grads[sid] + gi
         grads[nid] = None  # intermediates release their gradient storage

@@ -94,17 +94,25 @@ class AdamState:
     eps: float = 1e-8
 
 
+class GradientError(ValueError):
+    """A parameter's gradient is not finite, so no optimizer step is taken."""
+
+
 def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update with decoupled weight decay applied as
-    theta <- theta * (1 - lr*wd) before the Adam step; zeros gradients after."""
+    theta <- theta * (1 - lr*wd) before the Adam step; zeros gradients after.
+
+    Raises GradientError, before changing any parameter or state, if a
+    gradient is not finite."""
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.grad)):
+            raise GradientError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
         g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -161,8 +169,8 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
     row 0 reflects the nearly-untrained model.  The optional callback fires
     once before training (index 0) and after each epoch (1..epochs), for
     feature-snapshot exports.  A StepLimit on a batch skips that batch
-    (counted in metadata); a Divergence halts training and returns the
-    partial record with the error field set."""
+    (counted in metadata); a Divergence or a non-finite gradient halts
+    training and returns the partial record with the error field set."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     record = TrainRecord(metadata={"seed": cfg.seed, "kind": model.spec.kind,
@@ -191,8 +199,9 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
                 record.metadata["skipped_batches"] += 1
                 model.params.zero_grad()
                 continue
-            except DivergenceError as exc:
-                record.error = f"divergence at epoch {epoch} batch {bi}: {exc}"
+            except (DivergenceError, GradientError) as exc:
+                what = "divergence" if isinstance(exc, DivergenceError) else "gradient"
+                record.error = f"{what} at epoch {epoch} batch {bi}: {exc}"
                 record.final_params = model.params.copy_values()
                 return record
             tot_loss += loss.item() * len(xb)

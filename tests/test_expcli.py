@@ -8,7 +8,7 @@ import pytest
 
 from anodelab.data import write_idx
 from anodelab.expcli import (CKPT_MAGIC, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                             ConfigError, load_checkpoint, main,
+                             EXIT_TRAINING, ConfigError, load_checkpoint, main,
                              parse_config_file, resolve_config,
                              save_checkpoint)
 from anodelab.models import Model, ModelSpec
@@ -110,6 +110,23 @@ class TestToyCommand:
         lines = (out / "anode_flow.csv").read_text().splitlines()
         assert lines[0] == "point_id,label,time,s0,s1,s2"  # 1 input + 2 aug
         assert len(lines) == 1 + 20 * 25
+
+    def test_non_finite_gradient_exit_3(self, tmp_path, monkeypatch, capsys):
+        import anodelab.train as trn
+        real_backward = trn.backward
+
+        def nan_backward(graph, loss):
+            real_backward(graph, loss)
+            leaf = next(n.tensor for n in graph.nodes
+                        if n.is_leaf and n.tensor.requires_grad)
+            leaf.grad[...] = np.nan
+
+        monkeypatch.setattr(trn, "backward", nan_backward)
+        out = tmp_path / "toy"
+        assert run(["toy", "--dim", "1", "--epochs", "1",
+                    "--out", str(out)]) == EXIT_TRAINING
+        assert "training failed: gradient at epoch 0 batch 0" in capsys.readouterr().err
+        assert (out / "node.ckpt").exists()
 
     def test_invalid_dim_exit_2(self, tmp_path):
         assert run(["toy", "--dim", "3", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anodelab import tensorgrad as tg
+from anodelab.models import MlpDynamics
 from anodelab.tensorgrad import (CompGraph, GraphError, ParamSet, ShapeError,
                                  Tensor, backward, grad_check)
 
@@ -222,6 +223,88 @@ class TestConv2d:
             return tg.tsum(tg.mul(out, out))
 
         assert grad_check(loss_fn, params) < 1e-6
+
+
+def unfused_mlp(x, t, layers):
+    """Reference for tg.mlp: the primitive-by-primitive chain it replaces."""
+    z = x
+    if t is not None:
+        z = tg.concat([x, Tensor(np.full(x.shape[:-1] + (1,), t))], axis=-1)
+    for i, (w, b) in enumerate(layers):
+        z = tg.matmul(z, w) + b
+        if i < len(layers) - 1:
+            z = tg.relu(z)
+    return z
+
+
+def mlp_params(rng, widths):
+    params = ParamSet()
+    layers = [(params.add(f"l{i}.w", rng.uniform(-0.8, 0.8, (a, b))),
+               params.add(f"l{i}.b", rng.uniform(-0.3, 0.3, b)))
+              for i, (a, b) in enumerate(zip(widths, widths[1:]))]
+    return params, layers
+
+
+class TestMlp:
+    @pytest.mark.parametrize("t", [None, 0.37])
+    @pytest.mark.parametrize("hidden", [(), (6, 6)])
+    def test_bitwise_equal_to_unfused_chain(self, t, hidden):
+        # two chained applications, so gradients of every parameter and of
+        # the intermediate state accumulate from two nodes, as in a solve
+        d = 3
+        widths = (d + (t is not None),) + hidden + (d,)
+        rng = np.random.default_rng(7)
+        x0 = rng.standard_normal((9, d))
+
+        def run(fn):
+            params, layers = mlp_params(np.random.default_rng(11), widths)
+            x = Tensor(x0, requires_grad=True)
+            with CompGraph() as g:
+                h = fn(x, t, layers)
+                y = fn(h, None if t is None else t + 0.25, layers)
+                loss = tg.tsum(tg.mul(y, y + h))
+            backward(g, loss)
+            return y.data, x.grad, [p.grad for _, p in params.items()]
+
+        out, gx, gps = run(tg.mlp)
+        ref_out, ref_gx, ref_gps = run(unfused_mlp)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(gx, ref_gx)
+        for gp, ref in zip(gps, ref_gps):
+            assert np.array_equal(gp, ref)
+
+    def test_gradients_numerically(self):
+        rng = np.random.default_rng(5)
+        params, layers = mlp_params(rng, (3, 5, 5, 2))
+        x = rng.standard_normal((8, 2))
+
+        def loss_fn():
+            out = tg.mlp(Tensor(x), 0.6, layers)
+            return tg.tmean(tg.mul(out, out))
+
+        assert grad_check(loss_fn, params) < 1e-6
+
+    @pytest.mark.parametrize("x_shape,t,shapes", [
+        ((4,), None, [((4, 2), (2,))]),                 # 1-d input
+        ((2, 3, 4), None, [((4, 2), (2,))]),            # 3-d input
+        ((5, 4), 0.5, [((4, 2), (2,))]),                # no row for the t column
+        ((5, 4), None, [((4, 3), (3,)), ((4, 2), (2,))]),  # widths disagree
+        ((5, 4), None, [((4, 2), (1, 2))]),             # 2-d bias
+        ((5, 4), None, [((4, 2), (3,))]),               # bias width != columns
+        ((5, 4), None, []),                             # no layers
+    ])
+    def test_shape_errors(self, x_shape, t, shapes):
+        layers = [(Tensor(np.ones(ws)), Tensor(np.zeros(bs))) for ws, bs in shapes]
+        with pytest.raises(ShapeError):
+            tg.mlp(Tensor(np.ones(x_shape)), t, layers)
+
+    def test_dynamics_eval_records_one_node(self):
+        params = ParamSet()
+        dyn = MlpDynamics.init(params, np.random.default_rng(0), 2, 8)
+        h = Tensor(np.ones((4, 2)))
+        with CompGraph() as g:
+            dyn.eval(h, 0.5)
+        assert [n.op for n in g.nodes if not n.is_leaf] == ["mlp"]
 
 
 class TestSoftmaxCrossEntropy:

@@ -8,9 +8,10 @@ from anodelab import tensorgrad as tg
 from anodelab.data import LabeledSet, gen_g1d
 from anodelab.models import Model, ModelSpec
 from anodelab.odeint import SolverConfig
-from anodelab.train import (AdamState, GridCellResult, RunAggregate,
-                            TrainConfig, TrainRecord, adam_step, evaluate,
-                            fit, grid_search, repeat_runs)
+from anodelab import train as trn
+from anodelab.train import (AdamState, GradientError, GridCellResult,
+                            RunAggregate, TrainConfig, TrainRecord, adam_step,
+                            evaluate, fit, grid_search, repeat_runs)
 from anodelab.tensorgrad import ParamSet
 
 
@@ -71,10 +72,15 @@ class TestAdam:
 
     def test_non_finite_gradient_names_parameter(self):
         params = ParamSet()
+        a = params.add("layer.b", np.zeros(2))
+        a.grad[...] = 1.0
         p = params.add("layer.w", np.zeros(2))
         p.grad[...] = np.nan
-        with pytest.raises(ValueError, match="layer.w"):
-            adam_step(params, AdamState(), TrainConfig())
+        state = AdamState()
+        with pytest.raises(GradientError, match="layer.w"):
+            adam_step(params, state, TrainConfig())
+        # no parameter moves when any gradient is bad
+        assert np.all(a.data == 0.0) and state.step == 0 and not state.m
 
     def test_grads_zeroed_after_step(self):
         params = ParamSet()
@@ -121,6 +127,28 @@ class TestFit:
         rec = fit(tiny_model(), tiny_dataset(), None, cfg)
         assert rec.error == "all batches skipped at epoch 0"
         assert rec.metadata["skipped_batches"] == 2
+
+    def test_non_finite_gradient_halts_with_partial_record(self, monkeypatch):
+        real_backward = trn.backward
+        model = tiny_model(seed=2)
+        calls = []
+
+        def nan_on_third_step(graph, loss):
+            real_backward(graph, loss)
+            calls.append(1)
+            if len(calls) == 3:     # epoch 1, batch 0 (two batches per epoch)
+                model.params["dyn.l2.w"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(trn, "backward", nan_on_third_step)
+        rec = fit(model, tiny_dataset(), None, fast_cfg(epochs=3, seed=2))
+        assert rec.error.startswith("gradient at epoch 1 batch 0: ")
+        assert "dyn.l2.w" in rec.error
+        assert len(rec.epochs) == 1
+        monkeypatch.undo()
+        # the failed step changed nothing: parameters are those after epoch 0
+        ref = fit(tiny_model(seed=2), tiny_dataset(), None,
+                  fast_cfg(epochs=1, seed=2)).final_params
+        assert all(np.array_equal(rec.final_params[k], v) for k, v in ref.items())
 
     def test_cross_entropy_path(self):
         rng = np.random.default_rng(0)
