@@ -1,17 +1,24 @@
 """End-to-end CLI contracts: manifest-first artifacts, CSV schemas, checkpoint
 round trips, config precedence, and exit codes."""
 
+import argparse
+import functools
 import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import anodelab.expcli as cli
 from anodelab.data import write_idx
-from anodelab.expcli import (CKPT_MAGIC, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                             EXIT_TRAINING, ConfigError, load_checkpoint, main,
+from anodelab.expcli import (CKPT_MAGIC, CKPT_VERSION, COMMANDS, EXIT_CONFIG,
+                             EXIT_IO, EXIT_OK, EXIT_TRAINING, MNIST_FILES,
+                             ConfigError, build_parser, load_checkpoint, main,
                              parse_config_file, resolve_config,
                              save_checkpoint)
 from anodelab.models import Model, ModelSpec
+from anodelab.odeint import SolverConfig
 
 
 def run(argv):
@@ -44,6 +51,47 @@ class TestCheckpoint:
         with pytest.raises(IOError, match="truncated"):
             load_checkpoint(tmp_path / "cut")
 
+    @staticmethod
+    def _pack(spec_json: bytes, params: bytes, version=CKPT_VERSION) -> bytes:
+        return (CKPT_MAGIC + struct.pack("<II", version, len(spec_json)) +
+                spec_json + params)
+
+    # each case: (spec, params) of a valid checkpoint -> malformed file bytes
+    MALFORMED = {
+        "unsupported version": (lambda s, p: TestCheckpoint._pack(
+            json.dumps(s).encode(), p, version=CKPT_VERSION + 1),
+            "unsupported checkpoint version"),
+        "unknown spec key": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "colour": "red"}).encode(), p),
+            "malformed model spec"),
+        "undecodable spec bytes": (lambda s, p: TestCheckpoint._pack(
+            b"\xff\xfe{}", p), "malformed model spec"),
+        "spec not an object": (lambda s, p: TestCheckpoint._pack(
+            b"[1, 2]", p), "malformed model spec"),
+        "invalid spec value": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "kind": "transformer"}).encode(), p),
+            "malformed model spec"),
+        "trailing bytes": (lambda s, p: TestCheckpoint._pack(
+            json.dumps(s).encode(), p + b"\x00" * 8),
+            "8 bytes after the parameters"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_io_error(self, tmp_path, capsys, case):
+        m = Model(ModelSpec(kind="node", input_dim=1, hidden_dim=4), seed=0)
+        params = b"".join(t.data.astype("<f8").tobytes()
+                          for _, t in m.params.items())
+        make, message = self.MALFORMED[case]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(make(asdict(m.spec), params))
+        with pytest.raises(OSError, match=message):
+            load_checkpoint(path)
+        out = tmp_path / "flows"
+        assert run(["export-flows", "--checkpoint", str(path),
+                    "--out", str(out)]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigResolution:
     def test_parse_key_value_and_comments(self, tmp_path):
@@ -70,6 +118,26 @@ class TestConfigResolution:
     def test_unparseable_value_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             resolve_config({"epochs": 1}, {"epochs": "five"}, {})
+
+
+class TestParser:
+    def test_flags_generated_from_defaults(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMANDS)
+        for name, cmd in COMMANDS.items():
+            flags = {a.dest: a for a in sub.choices[name]._actions
+                     if a.option_strings and a.dest != "help"}
+            assert set(flags) == set(cmd.defaults) | {"svg", "config"}, name
+            for key, default in cmd.defaults.items():
+                assert flags[key].option_strings == ["--" + key.replace("_", "-")]
+                assert flags[key].type is type(default), (name, key)
+
+    def test_export_flows_takes_no_epochs(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["export-flows", "--checkpoint", "m.ckpt", "--epochs", "3",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestToyCommand:
@@ -225,6 +293,21 @@ class TestMnistMiniCommand:
         a = load_checkpoint(out / "anode.ckpt").param_count()
         assert abs(n - a) / n <= 0.02
 
+    def test_truncated_idx_header_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        images, labels = np.zeros((4, 8, 8), np.uint8), np.zeros(4, np.uint8)
+        for i in (0, 2):
+            write_idx(data / MNIST_FILES[i], data / MNIST_FILES[i + 1],
+                      images, labels)
+        head = (data / MNIST_FILES[0]).read_bytes()[:10]
+        (data / MNIST_FILES[0]).write_bytes(head)
+        out = tmp_path / "out"
+        assert run(["mnist-mini", "--data-dir", str(data),
+                    "--out", str(out)]) == EXIT_IO
+        assert "truncated header at byte 10" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_cell_counts(self, tmp_path):
@@ -277,6 +360,24 @@ class TestExportFlowsCommand:
                     "--out", str(tmp_path)]) == EXIT_IO
 
 
+class TestSolverFailure:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("max_steps, message", [
+        (SolverConfig.max_steps, "non-finite state"), (30, "step limit 30")])
+    def test_blown_up_checkpoint_exit_3(self, tmp_path, monkeypatch, capsys,
+                                        max_steps, message):
+        m = Model(ModelSpec(kind="node", input_dim=2, hidden_dim=8), seed=0)
+        for _, t in m.params.items():
+            t.data *= 300.0
+        ckpt = tmp_path / "blown.ckpt"
+        save_checkpoint(ckpt, m)
+        monkeypatch.setattr(cli, "SolverConfig",
+                            functools.partial(SolverConfig, max_steps=max_steps))
+        assert run(["export-flows", "--checkpoint", str(ckpt), "--n-points", "2",
+                    "--n-times", "3", "--out", str(tmp_path / "flows")]) == EXIT_TRAINING
+        assert f"solver failure: dopri5: {message}" in capsys.readouterr().err
+
+
 class TestManifestFirst:
     def test_manifest_written_before_training(self, tmp_path, monkeypatch):
         # force training to explode; the manifest must already be on disk
@@ -290,3 +391,12 @@ class TestManifestFirst:
         with pytest.raises(RuntimeError):
             run(["toy", "--dim", "1", "--epochs", "1", "--out", str(out)])
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["toy", "--epochs", "0"], ["toy", "--dim", "3"],
+        ["toy", "--solver-rtol", "-1"], ["nfe", "--model", "resnet"],
+        ["sweep", "--epochs", "0"], ["export-flows"]])
+    def test_config_error_writes_no_manifest(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
