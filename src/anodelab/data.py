@@ -8,7 +8,7 @@ bitwise-identical dataset.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -22,7 +22,6 @@ class IdxFormatError(ValueError):
 class LabeledSet:
     inputs: np.ndarray          # (n, ...) float64
     targets: np.ndarray         # (n,) float64 (+-1 regression) or int labels
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.inputs) != len(self.targets):
@@ -32,16 +31,7 @@ class LabeledSet:
         return len(self.inputs)
 
     def subset(self, idx: np.ndarray) -> "LabeledSet":
-        return LabeledSet(self.inputs[idx], self.targets[idx], dict(self.metadata))
-
-    def to_csv(self, path) -> None:
-        d = self.inputs.reshape(len(self), -1).shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write("id," + ",".join(f"x{i}" for i in range(d)) + ",target\n")
-            flat = self.inputs.reshape(len(self), -1)
-            for i in range(len(self)):
-                xs = ",".join(format(v, ".9g") for v in flat[i])
-                fh.write(f"{i},{xs},{format(float(self.targets[i]), '.9g')}\n")
+        return LabeledSet(self.inputs[idx], self.targets[idx])
 
 
 @dataclass
@@ -72,8 +62,7 @@ def gen_g1d(n_per_class: int, seed: int = 0) -> LabeledSet:
     pos_side = rng.uniform(0.5, 1.0, size=n_per_class)     # label -1
     x = np.concatenate([neg_side, pos_side])[:, None]
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
-    return LabeledSet(x, y, {"generator": "g1d", "seed": seed,
-                             "n_per_class": n_per_class})
+    return LabeledSet(x, y)
 
 
 def _uniform_ball(rng, n: int, d: int, r_lo: float, r_hi: float) -> np.ndarray:
@@ -93,24 +82,7 @@ def gen_concentric(cfg: SphereAnnulusConfig) -> LabeledSet:
     outer = _uniform_ball(rng, cfg.n_outer, cfg.d, cfg.r2, cfg.r3)
     x = np.concatenate([inner, outer])
     y = np.concatenate([-np.ones(cfg.n_inner), np.ones(cfg.n_outer)])
-    return LabeledSet(x, y, {"generator": "concentric", "seed": cfg.seed,
-                             "d": cfg.d, "r1": cfg.r1, "r2": cfg.r2, "r3": cfg.r3})
-
-
-def gen_separable(d: int, n_per_class: int, seed: int = 0) -> LabeledSet:
-    """Two radius-0.5 balls centered at +-(2, 0, ..., 0): the ball at +2e0 is
-    labeled -1, the ball at -2e0 is labeled +1.  Linearly separable by the
-    hyperplane x0 = 0 with margin 1.5."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    rng = np.random.default_rng(seed)
-    pos_center = _uniform_ball(rng, n_per_class, d, 0.0, 0.5)
-    neg_center = _uniform_ball(rng, n_per_class, d, 0.0, 0.5)
-    pos_center[:, 0] += 2.0
-    neg_center[:, 0] -= 2.0
-    x = np.concatenate([pos_center, neg_center])
-    y = np.concatenate([-np.ones(n_per_class), np.ones(n_per_class)])
-    return LabeledSet(x, y, {"generator": "separable", "seed": seed, "d": d})
+    return LabeledSet(x, y)
 
 
 def angular_split(dataset: LabeledSet, angle_lo: float,
@@ -192,9 +164,7 @@ def load_idx(images_path, labels_path, limit: int | None = None,
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
     x = images.astype(np.float64)[:, None, :, :] / 255.0
-    return LabeledSet(x, labels.astype(np.int64),
-                      {"generator": "idx", "images": str(images_path),
-                       "labels": str(labels_path)})
+    return LabeledSet(x, labels.astype(np.int64))
 
 
 def batches(dataset: LabeledSet, batch_size: int,

@@ -41,15 +41,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
-
-
 def write_csv(path, header: str, rows) -> None:
+    """The one CSV writer of every artifact: an int or str cell is written
+    with str, None as an empty cell, and any other value as a float in .9g."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c)
+            fh.write(",".join(str(c) if isinstance(c, (int, str)) else
+                              "" if c is None else format(float(c), ".9g")
                               for c in row) + "\n")
 
 
@@ -153,7 +152,9 @@ def write_manifest(out_dir: Path, name: str, cfg: dict, seeds: list[int]) -> dic
 
 def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
                       want_svg: bool) -> None:
-    record.to_csv(out_dir / f"{stem}_train.csv")
+    write_csv(out_dir / f"{stem}_train.csv", trn.TrainRecord.CSV_HEADER,
+              [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
+                e.nfe_forward_mean, e.wall_ms) for e in record.epochs])
     if want_svg:
         ep = record.metric("epoch")
         svg.line_plot(out_dir / f"{stem}_loss.svg",
@@ -164,12 +165,9 @@ def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
 def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
     dim = snap.states.shape[2]
     header = "point_id,label,time," + ",".join(f"s{i}" for i in range(dim))
-    rows = []
-    for i in snap.point_ids:
-        for j, t in enumerate(snap.times):
-            rows.append([i, _fmt(snap.labels[i]), _fmt(t),
-                         *snap.states[i, j]])
-    write_csv(path, header, rows)
+    write_csv(path, header, [[i, snap.labels[i], t, *snap.states[i, j]]
+                             for i in snap.point_ids
+                             for j, t in enumerate(snap.times)])
 
 
 @dataclass
@@ -238,6 +236,12 @@ def run_toy(run: Run) -> None:
     if record.error is None:
         print(f"final train loss {record.epochs[-1].train_loss:.6g} "
               f"(artifacts in {run.out})")
+
+
+def _prepare_nfe(cfg: dict) -> None:
+    _choices(model=("node", "anode"))(cfg)
+    if cfg["snapshot_every"] < 1:
+        raise ConfigError("--snapshot-every must be >= 1")
 
 
 def run_nfe(run: Run) -> None:
@@ -346,6 +350,13 @@ def sweep_grid(model_kind: str) -> dict:
     return grid
 
 
+def _prepare_sweep(cfg: dict) -> None:
+    _choices(model=mdl.KINDS)(cfg)
+    n = cfg["n_inner"] + cfg["n_outer"]
+    if not 2 <= cfg["cv_folds"] <= n:
+        raise ConfigError(f"--cv-folds must lie in [2, {n}] (n-inner + n-outer)")
+
+
 def run_sweep(run: Run) -> None:
     cfg, kind = run.cfg, run.cfg["model"]
     dataset = dat.gen_concentric(dat.SphereAnnulusConfig(
@@ -363,16 +374,14 @@ def run_sweep(run: Run) -> None:
                               epochs=cfg["epochs"], cv_folds=cfg["cv_folds"],
                               base_cfg=run.train)
     keys = sorted({k for r in results for k in r.cell})
-    rows = []
-    for r in results:
-        for fold, loss in enumerate(r.fold_losses):
-            rows.append([*(r.cell.get(k, "") for k in keys), fold, _fmt(loss)])
+    rows = [[*(r.cell.get(k, "") for k in keys), fold, loss]
+            for r in results for fold, loss in enumerate(r.fold_losses)]
     write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss", rows)
     write_csv(run.out / "sweep_summary.csv",
               ",".join(keys) + ",mean_val_loss,error",
               [[*(r.cell.get(k, "") for k in keys),
-                _fmt(r.mean_val_loss) if r.fold_losses else "",
-                r.error or ""] for r in results])
+                r.mean_val_loss if r.fold_losses else None, r.error]
+               for r in results])
     best = results[0]
     print(f"{len(results)} cells; best {best.cell} "
           f"mean val loss {best.mean_val_loss:.6g}; artifacts in {run.out}")
@@ -381,7 +390,11 @@ def run_sweep(run: Run) -> None:
 def load_export_checkpoint(cfg: dict) -> mdl.Model:
     if not cfg["checkpoint"]:
         raise ConfigError("--checkpoint is required")
-    return load_checkpoint(cfg["checkpoint"])
+    model = load_checkpoint(cfg["checkpoint"])
+    if model.spec.conv:
+        raise ConfigError(f"{cfg['checkpoint']}: flows of image (conv) models "
+                          "are unsupported")
+    return model
 
 
 def run_export_flows(run: Run) -> None:
@@ -395,7 +408,7 @@ def run_export_flows(run: Run) -> None:
     snap = mdl.flow_trajectory(model, points, cfg["n_times"], run.solver)
     write_flow_csv(out / "flow.csv", snap)
 
-    if model.spec.kind != "resnet" and not model.spec.conv:
+    if model.spec.kind != "resnet":
         sd = model.spec.state_dim
         axis = np.linspace(-2.0, 2.0, 10)
         mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
@@ -407,7 +420,7 @@ def run_export_flows(run: Run) -> None:
         rows = []
         for ti, t in enumerate([0.0, 0.5, 1.0]):
             for pt, vec in zip(mesh, vecs[ti]):
-                rows.append([_fmt(t), *pt, *vec])
+                rows.append([t, *pt, *vec])
         write_csv(out / "field.csv", header, rows)
         if run.svg and sd == 2:
             svg.field_plot(out / "field.svg", mesh, vecs[0],
@@ -443,7 +456,7 @@ COMMANDS = {
         {"model": "node", "aug": 5, "hidden": 32, "lr": 1e-3, "batch": 64,
          "epochs": 30, "seed": 0, "wd": 0.0, "snapshot_every": 6,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/nfe"},
-        run_nfe, _choices(model=("node", "anode"))),
+        run_nfe, _prepare_nfe),
     "generalization": Command(
         "train/val comparison with an angular slice held out",
         {"aug": 5, "hidden": 32, "lr": 1e-3, "batch": 64, "epochs": 30,
@@ -462,7 +475,7 @@ COMMANDS = {
         {"model": "anode", "dim": 1, "epochs": 10, "seed": 0,
          "n_inner": 150, "n_outer": 300, "cv_folds": 3,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/sweep"},
-        run_sweep, _choices(model=mdl.KINDS)),
+        run_sweep, _prepare_sweep),
     "export-flows": Command(
         "flow trajectory and vector field CSVs from a checkpoint",
         {"checkpoint": "", "n_points": 20, "n_times": 25,

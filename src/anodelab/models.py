@@ -8,14 +8,14 @@ integral with a fixed number of h <- h + f_t(h) updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tensorgrad as tg
 from .tensorgrad import ParamSet, Tensor
-from .odeint import OdeSolution, SolverConfig, integrate, integrate_backward
+from .odeint import SolverConfig, integrate
 
 KINDS = ("node", "anode", "resnet")
 
@@ -64,17 +64,15 @@ class FlowSnapshot:
 
 
 def augment(x: Tensor, p: int) -> Tensor:
-    """Concatenate p zeros (feature axis) or p zero channels (image axis)."""
+    """Concatenate p zeros (feature axis) or, for a (B, C, H, W) batch of
+    images, p zero channels."""
     if p < 0:
         raise ValueError(f"augmentation size must be >= 0, got {p}")
     if p == 0:
         return x
-    if x.data.ndim == 4:        # (B, C, H, W): zero channels
+    if x.data.ndim == 4:
         zeros = Tensor(np.zeros((x.shape[0], p) + x.shape[2:]))
         return tg.concat([x, zeros], axis=1)
-    if x.data.ndim == 3:        # single (C, H, W) image
-        zeros = Tensor(np.zeros((p,) + x.shape[1:]))
-        return tg.concat([x, zeros], axis=0)
     zeros = Tensor(np.zeros(x.shape[:-1] + (p,)))
     return tg.concat([x, zeros], axis=-1)
 
@@ -206,7 +204,7 @@ def node_forward(model: Model, x: Tensor,
     output and the number of dynamics evaluations spent."""
     spec = model.spec
     if spec.kind == "resnet":
-        return resnet_forward(model, x), spec.resnet_layers
+        return model.head(_residual_states(model, x)[-1]), spec.resnet_layers
     h0 = augment(x, spec.aug)
     sol = integrate(model.dynamics, h0, 0.0, spec.T, [spec.T], cfg)
     return model.head(sol.states[-1]), sol.nfe
@@ -237,13 +235,9 @@ def invert_features(model: Model, feat: Tensor,
     spec = model.spec
     if spec.kind == "resnet":
         raise ValueError("resnet baseline has no backward flow")
-    sol = integrate_backward(model.dynamics, feat, spec.T, 0.0, cfg,
-                             per_sample=True)
+    sol = integrate(model.dynamics, feat, spec.T, 0.0, [0.0], cfg,
+                    per_sample=True)
     return sol.states[-1]
-
-
-def resnet_forward(model: Model, x: Tensor) -> Tensor:
-    return model.head(_residual_states(model, x)[-1])
 
 
 def flow_trajectory(model: Model, points: np.ndarray, n_times: int,

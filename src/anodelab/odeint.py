@@ -9,7 +9,7 @@ control operates on detached values and is not differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -33,6 +33,12 @@ class Dynamics(Protocol):
     def eval(self, h: Tensor, t: float) -> Tensor: ...
 
 
+# the fixed constants of the dopri5 step controller (adapt_step)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+
+
 @dataclass
 class SolverConfig:
     method: str = "dopri5"
@@ -40,19 +46,14 @@ class SolverConfig:
     atol: float = 1e-3
     fixed_step: float = 0.1
     max_steps: int = 10000
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 10.0
 
     def __post_init__(self):
         if self.method not in ("euler", "rk4", "dopri5"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):  # NaN fails too
             raise ValueError("rtol and atol must be positive")
-        if not (0.0 < self.safety < 1.0):
-            raise ValueError("safety must lie in (0, 1)")
-        if not (0.0 < self.min_factor < 1.0 < self.max_factor):
-            raise ValueError("need 0 < min_factor < 1 < max_factor")
+        if not self.fixed_step > 0:
+            raise ValueError("fixed_step must be positive")
 
 
 @dataclass
@@ -129,13 +130,12 @@ def error_norm(err: np.ndarray, h: np.ndarray, h_next: np.ndarray,
     return float(np.sqrt(np.mean(sq)))
 
 
-def adapt_step(error_norm: float, dt: float, cfg: SolverConfig) -> tuple[bool, float]:
+def adapt_step(error_norm: float, dt: float) -> tuple[bool, float]:
     """PI-free step controller: accept iff norm <= 1; rescale dt by
-    clamp(safety * norm^(-1/5), min_factor, max_factor)."""
+    clamp(SAFETY * norm^(-1/5), MIN_FACTOR, MAX_FACTOR)."""
     if error_norm == 0.0:
-        return True, dt * cfg.max_factor
-    factor = min(cfg.max_factor,
-                 max(cfg.min_factor, cfg.safety * error_norm ** -0.2))
+        return True, dt * MAX_FACTOR
+    factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * error_norm ** -0.2))
     return error_norm <= 1.0, dt * factor
 
 
@@ -203,6 +203,8 @@ def _integrate_dopri5(f, x0, t0, t1, eval_times, cfg, direction, per_sample):
         return OdeSolution(out_times, out_states, f.nfe, 0, 0)
 
     k1 = f.eval(h, t)
+    if not np.all(np.isfinite(k1.data)):
+        raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
     dt = direction * _initial_step(k1.data, x0.data, abs(t1 - t0), cfg)
     while direction * (t1 - t) > 1e-12:
         if accepted + rejected >= cfg.max_steps:
@@ -218,7 +220,7 @@ def _integrate_dopri5(f, x0, t0, t1, eval_times, cfg, direction, per_sample):
         if not np.all(np.isfinite(h_next.data)):
             raise DivergenceError(f"dopri5: non-finite state at t={t:.6g}")
         norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
-        accept, dt_mag = adapt_step(norm, abs(dt_try), cfg)
+        accept, dt_mag = adapt_step(norm, abs(dt_try))
         if accept:
             t = t + dt_try
             h = h_next
@@ -246,8 +248,6 @@ def _rk4_step(f, h, t, dt):
 
 
 def _integrate_fixed(f, x0, t0, t1, eval_times, cfg, direction):
-    if cfg.fixed_step <= 0:
-        raise ValueError("fixed_step must be positive")
     step_fn = _euler_step if cfg.method == "euler" else _rk4_step
     t, h = t0, x0
     out_times: list[float] = []
@@ -274,16 +274,6 @@ def _integrate_fixed(f, x0, t0, t1, eval_times, cfg, direction):
         t = target
         idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
     return OdeSolution(out_times, out_states, f.nfe, accepted, 0)
-
-
-def integrate_backward(f: Dynamics, xT: Tensor, t1: float, t0: float,
-                       cfg: SolverConfig | None = None,
-                       eval_times: list[float] | None = None, *,
-                       per_sample: bool = False) -> OdeSolution:
-    """Integrate the same dynamics with time running from t1 down to t0."""
-    if eval_times is None:
-        eval_times = [t0]
-    return integrate(f, xT, t1, t0, eval_times, cfg, per_sample=per_sample)
 
 
 def lipschitz_bound(params: ParamSet, prefix: str = "") -> float:

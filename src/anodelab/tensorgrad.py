@@ -157,12 +157,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 def _out(op: str, inputs: Sequence[Tensor], data: np.ndarray, backward_fn) -> Tensor:
     t = Tensor._wrap(data)
@@ -322,19 +316,6 @@ def mlp(x: Tensor, t: float | None,
     return _out("mlp", inputs, out, bwd)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-
-    def bwd(g):
-        return ((a, g.reshape(old)),)
-
-    try:
-        out = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _out("reshape", (a,), out, bwd)
-
-
 def tsum(a: Tensor, axis=None) -> Tensor:
     def bwd(g):
         if axis is None:
@@ -486,14 +467,8 @@ class ParamSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def num_elements(self) -> int:
         return sum(t.size for t in self._params.values())
@@ -504,10 +479,6 @@ class ParamSet:
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._params.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, t in self._params.items():
-            t.data[...] = values[k]
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: ParamSet,

@@ -1,5 +1,5 @@
 """Optimization loop (Adam with decoupled weight decay), per-epoch metrics,
-multi-seed repetition and grid search with k-fold cross validation.
+and grid search with k-fold cross validation.
 
 Each record row is one training epoch (numbered from 0); train-side metrics
 are running means over that epoch's minibatches, so row 0 already reflects
@@ -19,7 +19,7 @@ from . import tensorgrad as tg
 from .tensorgrad import CompGraph, ParamSet, Tensor, backward
 from .odeint import DivergenceError, SolverConfig, StepLimitError
 from .data import LabeledSet, batches
-from .models import Model, ModelSpec, node_forward
+from .models import Model, node_forward
 
 
 @dataclass
@@ -63,17 +63,6 @@ class TrainRecord:
 
     CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,nfe_forward_mean,wall_ms"
 
-    def to_csv(self, path) -> None:
-        def fmt(v):
-            return "" if v is None else format(v, ".9g")
-
-        with open(path, "w", newline="") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for e in self.epochs:
-                fh.write(",".join([str(e.epoch), fmt(e.train_loss), fmt(e.train_acc),
-                                   fmt(e.val_loss), fmt(e.val_acc),
-                                   fmt(e.nfe_forward_mean), fmt(e.wall_ms)]) + "\n")
-
     def deterministic_rows(self) -> list[tuple]:
         """Epoch rows without wall_ms, which is the one nondeterministic field."""
         return [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
@@ -84,14 +73,16 @@ class TrainRecord:
         return np.array([np.nan if v is None else v for v in vals])
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 class GradientError(ValueError):
@@ -109,8 +100,8 @@ def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
             raise GradientError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if name not in state.m:
@@ -120,11 +111,11 @@ def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
             p.data *= 1.0 - cfg.lr * cfg.weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     params.zero_grad()
 
 
@@ -141,15 +132,14 @@ def _loss_and_acc(out: Tensor, targets: np.ndarray, loss_kind: str):
     return loss, acc
 
 
-def evaluate(model: Model, dataset: LabeledSet, cfg: TrainConfig,
-             batch_size: int | None = None) -> tuple[float, float, float]:
+def evaluate(model: Model, dataset: LabeledSet,
+             cfg: TrainConfig) -> tuple[float, float, float]:
     """(loss, accuracy, mean forward NFE) over the dataset, no recording."""
-    bs = batch_size or cfg.batch_size
     tot_loss = tot_acc = tot_nfe = 0.0
     n_batches = 0
     n = 0
     with tg.no_grad():
-        for xb, yb in batches(dataset, bs):
+        for xb, yb in batches(dataset, cfg.batch_size):
             out, nfe = node_forward(model, Tensor(xb), cfg.solver)
             loss, acc = _loss_and_acc(out, yb, cfg.loss)
             tot_loss += loss.item() * len(xb)
@@ -226,45 +216,6 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
 
 
 @dataclass
-class RunAggregate:
-    records: list[TrainRecord]
-    failed_seeds: list[int]
-
-    def metric_mean(self, name: str) -> np.ndarray:
-        return np.mean([r.metric(name) for r in self._ok()], axis=0)
-
-    def metric_std(self, name: str) -> np.ndarray:
-        return np.std([r.metric(name) for r in self._ok()], axis=0)
-
-    def _ok(self) -> list[TrainRecord]:
-        ok = [r for r in self.records if r.error is None]
-        if not ok:
-            raise RuntimeError("all runs failed")
-        return ok
-
-
-def repeat_runs(build_model: Callable[[int], Model],
-                build_data: Callable[[int], tuple[LabeledSet, LabeledSet | None]],
-                cfg: TrainConfig, n_repeats: int) -> RunAggregate:
-    """Repeat fit() with seeds cfg.seed + 0..n-1; failures are recorded per
-    seed, not fatal."""
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
-    records: list[TrainRecord] = []
-    failed: list[int] = []
-    for i in range(n_repeats):
-        seed = cfg.seed + i
-        run_cfg = replace(cfg, seed=seed)
-        model = build_model(seed)
-        train_set, val_set = build_data(seed)
-        rec = fit(model, train_set, val_set, run_cfg)
-        records.append(rec)
-        if rec.error is not None:
-            failed.append(seed)
-    return RunAggregate(records, failed)
-
-
-@dataclass
 class GridCellResult:
     cell: dict
     fold_losses: list[float]
@@ -305,16 +256,17 @@ def grid_search(grid: dict[str, Sequence], build_model: Callable[[dict, int], Mo
         res = GridCellResult(cell, [])
         for fold, (tr_idx, va_idx) in enumerate(_kfold(len(dataset), cv_folds,
                                                        base_cfg.seed)):
-            try:
-                model = build_model(cell, base_cfg.seed + fold)
+            model = build_model(cell, base_cfg.seed + fold)
+            try:  # fit's validation pass does not catch solver failures
                 rec = fit(model, dataset.subset(tr_idx), dataset.subset(va_idx),
                           replace(cfg, seed=base_cfg.seed + fold))
-                if rec.error is not None:
-                    raise RuntimeError(rec.error)
-                res.fold_losses.append(rec.epochs[-1].val_loss)
-            except Exception as exc:  # cell marked failed, search continues
+            except (StepLimitError, DivergenceError) as exc:
                 res.error = f"fold {fold}: {exc}"
                 break
+            if rec.error is not None:  # cell marked failed, search continues
+                res.error = f"fold {fold}: {rec.error}"
+                break
+            res.fold_losses.append(rec.epochs[-1].val_loss)
         results.append(res)
     results.sort(key=lambda r: (r.error is not None, r.mean_val_loss))
     return results

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from anodelab.data import (IdxFormatError, LabeledSet, SphereAnnulusConfig,
                            angular_split, batches, gen_concentric, gen_g1d,
-                           gen_separable, load_idx, write_idx)
+                           load_idx, write_idx)
 
 
 class TestLabeledSet:
@@ -16,18 +16,9 @@ class TestLabeledSet:
             LabeledSet(np.zeros((3, 2)), np.zeros(2))
 
     def test_subset(self):
-        ds = LabeledSet(np.arange(10.0)[:, None], np.arange(10.0), {"k": 1})
+        ds = LabeledSet(np.arange(10.0)[:, None], np.arange(10.0))
         sub = ds.subset(np.array([1, 3]))
         assert len(sub) == 2 and sub.inputs[1, 0] == 3.0
-        assert sub.metadata == {"k": 1}
-
-    def test_to_csv(self, tmp_path):
-        ds = LabeledSet(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0]))
-        path = tmp_path / "d.csv"
-        ds.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,x0,x1,target"
-        assert lines[1] == "0,1,2,1" and len(lines) == 3
 
 
 class TestG1d:
@@ -70,21 +61,6 @@ class TestConcentric:
             SphereAnnulusConfig(r1=1.0, r2=0.5)
         with pytest.raises(ValueError):
             SphereAnnulusConfig(r1=0.0)
-
-
-class TestSeparable:
-    def test_margin_and_labels(self):
-        ds = gen_separable(3, 100, seed=0)
-        x0 = ds.inputs[:, 0]
-        # positive-label ball around -2, negative-label ball around +2
-        assert np.all(x0[ds.targets == 1.0] <= -1.5)
-        assert np.all(x0[ds.targets == -1.0] >= 1.5)
-        assert np.all(np.linalg.norm(
-            ds.inputs[ds.targets == -1.0] - np.eye(3)[0] * 2.0, axis=1) <= 0.5 + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gen_separable(0, 10)
 
 
 class TestAngularSplit:

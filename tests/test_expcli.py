@@ -359,16 +359,31 @@ class TestExportFlowsCommand:
         assert run(["export-flows", "--checkpoint", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path)]) == EXIT_IO
 
+    def test_conv_checkpoint_exit_2(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path, ModelSpec(kind="node", input_dim=1,
+                                                    hidden_dim=4, output_dim=2,
+                                                    conv=True))
+        out = tmp_path / "flows"
+        assert run(["export-flows", "--checkpoint", str(ckpt),
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert "flows of image (conv) models are unsupported" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolverFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("max_steps, message", [
-        (SolverConfig.max_steps, "non-finite state"), (30, "step limit 30")])
+    # scale 300 blows up within the solve, 1e200 already in its first eval
+    @pytest.mark.parametrize("scale, max_steps, message", [
+        (300.0, SolverConfig.max_steps, "non-finite state"),
+        (300.0, 30, "step limit 30"),
+        (1e200, SolverConfig.max_steps, "non-finite derivative at t=0")],
+        ids=["10000-non-finite state", "30-step limit 30",
+             "1e200-non-finite derivative"])
     def test_blown_up_checkpoint_exit_3(self, tmp_path, monkeypatch, capsys,
-                                        max_steps, message):
+                                        scale, max_steps, message):
         m = Model(ModelSpec(kind="node", input_dim=2, hidden_dim=8), seed=0)
         for _, t in m.params.items():
-            t.data *= 300.0
+            t.data *= scale
         ckpt = tmp_path / "blown.ckpt"
         save_checkpoint(ckpt, m)
         monkeypatch.setattr(cli, "SolverConfig",
@@ -395,7 +410,10 @@ class TestManifestFirst:
     @pytest.mark.parametrize("argv", [
         ["toy", "--epochs", "0"], ["toy", "--dim", "3"],
         ["toy", "--solver-rtol", "-1"], ["nfe", "--model", "resnet"],
-        ["sweep", "--epochs", "0"], ["export-flows"]])
+        ["sweep", "--epochs", "0"], ["export-flows"],
+        ["nfe", "--snapshot-every", "0"], ["sweep", "--cv-folds", "1"],
+        ["sweep", "--n-inner", "2", "--n-outer", "2", "--cv-folds", "5"],
+        ["toy", "--solver-rtol", "nan"]])
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG

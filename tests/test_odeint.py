@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anodelab import tensorgrad as tg
-from anodelab.odeint import (DivergenceError, SolverConfig, StepLimitError,
-                             adapt_step, dopri5_step, error_norm, integrate,
-                             integrate_backward, lipschitz_bound)
+from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
+                             SolverConfig, StepLimitError, adapt_step,
+                             dopri5_step, error_norm, integrate,
+                             lipschitz_bound)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
 
 
@@ -65,7 +66,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"method": "ab2"}, {"rtol": 0.0}, {"atol": -1.0},
-        {"safety": 1.5}, {"min_factor": 2.0}, {"max_factor": 0.5},
+        {"rtol": float("nan")}, {"atol": float("nan")}, {"fixed_step": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -169,11 +170,11 @@ class TestBackwardIntegration:
         f = Linear([[0.0, -1.0], [1.0, 0.0]])
         x0 = Tensor([[0.8, -0.3]])
         fwd = integrate(f, x0, 0.0, 1.0, cfg=cfg)
-        back = integrate_backward(f, fwd.states[-1], 1.0, 0.0, cfg=cfg)
+        back = integrate(f, fwd.states[-1], 1.0, 0.0, cfg=cfg)
         assert np.allclose(back.states[-1].data, x0.data, atol=atol)
 
     def test_backward_exponential_value(self):
-        sol = integrate_backward(Scalar(), Tensor([np.e]), 1.0, 0.0)
+        sol = integrate(Scalar(), Tensor([np.e]), 1.0, 0.0)
         assert abs(sol.states[-1].item() - 1.0) < 3e-3
 
 
@@ -194,16 +195,14 @@ class TestStepController:
     @given(st.floats(1e-8, 1e4), st.floats(1e-4, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_factor_clamped(self, norm, dt):
-        cfg = SolverConfig()
-        accept, dt_next = adapt_step(norm, dt, cfg)
+        accept, dt_next = adapt_step(norm, dt)
         assert accept == (norm <= 1.0)
         ratio = dt_next / dt
-        assert cfg.min_factor - 1e-12 <= ratio <= cfg.max_factor + 1e-12
+        assert MIN_FACTOR - 1e-12 <= ratio <= MAX_FACTOR + 1e-12
 
     def test_zero_error_grows_maximally(self):
-        cfg = SolverConfig()
-        accept, dt_next = adapt_step(0.0, 0.1, cfg)
-        assert accept and np.isclose(dt_next, 0.1 * cfg.max_factor)
+        accept, dt_next = adapt_step(0.0, 0.1)
+        assert accept and np.isclose(dt_next, 0.1 * MAX_FACTOR)
 
     def test_error_norm_mixed_scaling(self):
         cfg = SolverConfig(rtol=0.0 + 1e-12, atol=1.0)

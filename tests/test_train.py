@@ -1,17 +1,18 @@
 """Optimizer behavior, the training loop's record contract, determinism,
-multi-seed aggregation, and grid search."""
+and grid search."""
 
 import numpy as np
 import pytest
 
 from anodelab import tensorgrad as tg
 from anodelab.data import LabeledSet, gen_g1d
+from anodelab.expcli import write_record_csvs
 from anodelab.models import Model, ModelSpec
-from anodelab.odeint import SolverConfig
+from anodelab.odeint import DivergenceError, SolverConfig, StepLimitError
 from anodelab import train as trn
 from anodelab.train import (AdamState, GradientError, GridCellResult,
-                            RunAggregate, TrainConfig, TrainRecord, adam_step,
-                            evaluate, fit, grid_search, repeat_runs)
+                            TrainConfig, TrainRecord, adam_step, evaluate, fit,
+                            grid_search)
 from anodelab.tensorgrad import ParamSet
 
 
@@ -150,6 +151,15 @@ class TestFit:
                   fast_cfg(epochs=1, seed=2)).final_params
         assert all(np.array_equal(rec.final_params[k], v) for k, v in ref.items())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_derivative_halts_with_divergence(self):
+        model = tiny_model()
+        for _, t in model.params.items():
+            t.data *= 1e200     # the first dynamics eval overflows
+        rec = fit(model, tiny_dataset(), None, fast_cfg(solver=SolverConfig()))
+        assert rec.error.startswith("divergence at epoch 0 batch 0: ")
+        assert "non-finite derivative" in rec.error
+
     def test_cross_entropy_path(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((24, 2))
@@ -177,9 +187,8 @@ class TestFit:
 class TestTrainRecordCsv:
     def test_header_and_formatting(self, tmp_path):
         rec = fit(tiny_model(), tiny_dataset(), None, fast_cfg(epochs=2))
-        path = tmp_path / "log.csv"
-        rec.to_csv(path)
-        lines = path.read_text().splitlines()
+        write_record_csvs(tmp_path, "log", rec, False)
+        lines = (tmp_path / "log_train.csv").read_text().splitlines()
         assert lines[0] == TrainRecord.CSV_HEADER
         assert len(lines) == 3
         first = lines[1].split(",")
@@ -188,13 +197,14 @@ class TestTrainRecordCsv:
         assert first[3] == "" and first[4] == ""
 
     def test_csv_reproducible_except_wall_ms(self, tmp_path):
-        def run(path):
-            fit(tiny_model(seed=2), tiny_dataset(seed=2), tiny_dataset(16, 3),
-                fast_cfg(seed=2)).to_csv(path)
-            rows = [ln.split(",") for ln in path.read_text().splitlines()]
-            return [r[:-1] for r in rows]
+        def run(stem):
+            rec = fit(tiny_model(seed=2), tiny_dataset(seed=2),
+                      tiny_dataset(16, 3), fast_cfg(seed=2))
+            write_record_csvs(tmp_path, stem, rec, False)
+            text = (tmp_path / f"{stem}_train.csv").read_text()
+            return [ln.split(",")[:-1] for ln in text.splitlines()]
 
-        assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
+        assert run("a") == run("b")
 
     def test_metric_extraction(self):
         rec = fit(tiny_model(), tiny_dataset(), None, fast_cfg(epochs=2))
@@ -215,36 +225,6 @@ class TestEvaluate:
         manual = float(np.mean((out.data.reshape(-1) - ds.targets) ** 2))
         assert np.isclose(loss, manual)
         assert 0.0 <= acc <= 1.0 and nfe > 0
-
-
-class TestRepeatRuns:
-    def test_seed_offsets_and_aggregate(self):
-        agg = repeat_runs(lambda s: tiny_model(seed=s),
-                          lambda s: (tiny_dataset(seed=s), None),
-                          fast_cfg(epochs=2), n_repeats=3)
-        assert len(agg.records) == 3 and agg.failed_seeds == []
-        assert agg.metric_mean("train_loss").shape == (2,)
-        assert np.all(agg.metric_std("train_loss") >= 0.0)
-
-    def test_single_run_zero_std(self):
-        agg = repeat_runs(lambda s: tiny_model(seed=s),
-                          lambda s: (tiny_dataset(seed=s), None),
-                          fast_cfg(epochs=1), n_repeats=1)
-        assert np.all(agg.metric_std("train_loss") == 0.0)
-
-    def test_failures_recorded_not_fatal(self):
-        cfg = TrainConfig(epochs=1, batch_size=16,
-                          solver=SolverConfig(max_steps=1))
-        agg = repeat_runs(lambda s: tiny_model(seed=s),
-                          lambda s: (tiny_dataset(seed=s), None), cfg, 2)
-        assert agg.failed_seeds == [0, 1]
-        with pytest.raises(RuntimeError):
-            agg.metric_mean("train_loss")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            repeat_runs(lambda s: tiny_model(), lambda s: (tiny_dataset(), None),
-                        fast_cfg(), 0)
 
 
 class TestGridSearch:
@@ -275,17 +255,40 @@ class TestGridSearch:
 
     def test_failed_cell_marked_search_continues(self):
         def build(cell, seed):
+            model = self._build(cell, seed)
             if cell["hidden"] == 6:
-                raise RuntimeError("boom")
-            return self._build(cell, seed)
+                model.params["dyn.l3.b"].data[...] = np.nan
+            return model
 
         base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
                            batch_size=16)
         results = grid_search({"hidden": [4, 6]}, build, tiny_dataset(20),
                               epochs=1, cv_folds=2, base_cfg=base)
         failed = [r for r in results if r.error is not None]
-        assert len(failed) == 1 and "boom" in failed[0].error
+        assert len(failed) == 1
+        assert failed[0].error.startswith("fold 0: divergence at epoch 0")
         assert results[-1] is failed[0]  # failed cells rank last
+
+    @pytest.mark.parametrize("exc", [StepLimitError("step limit", 7),
+                                     DivergenceError("non-finite state")])
+    def test_solver_failure_in_validation_marks_cell(self, monkeypatch, exc):
+        def failing_evaluate(*args):
+            raise exc
+
+        monkeypatch.setattr(trn, "evaluate", failing_evaluate)
+        base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
+                           batch_size=16)
+        [res] = grid_search({"hidden": [4]}, self._build, tiny_dataset(20),
+                            epochs=1, cv_folds=2, base_cfg=base)
+        assert res.error == f"fold 0: {exc}" and res.fold_losses == []
+
+    def test_program_error_propagates(self):
+        def build(cell, seed):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            grid_search({"hidden": [4]}, build, tiny_dataset(20), epochs=1,
+                        cv_folds=2)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
