@@ -47,6 +47,9 @@ class SphereAnnulusConfig:
     def __post_init__(self):
         if not (0.0 < self.r1 < self.r2 < self.r3):
             raise ValueError(f"need 0 < r1 < r2 < r3, got {self.r1}, {self.r2}, {self.r3}")
+        if self.d < 1 or min(self.n_inner, self.n_outer) < 0:
+            raise ValueError(f"need d >= 1 and n_inner, n_outer >= 0, got "
+                             f"{self.d}, {self.n_inner}, {self.n_outer}")
 
 
 def gen_g1d(n_per_class: int, seed: int = 0) -> LabeledSet:
@@ -153,6 +156,8 @@ def load_idx(images_path, labels_path, limit: int | None = None,
 
     Samples keep file order; class_filter restricts to the listed labels and
     limit keeps the first matching samples."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     images = _read_idx_images(images_path)
     labels = _read_idx_labels(labels_path)
     if len(images) != len(labels):

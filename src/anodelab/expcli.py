@@ -2,9 +2,10 @@
 
 Subcommands: toy, nfe, generalization, mnist-mini, sweep, export-flows, one
 entry each in COMMANDS, whose flags are generated from the entry's defaults.
-Every command checks its config and loads its input files, writes an
-experiment manifest, then trains and writes CSV artifacts (always) and SVG
-plots (with --svg).  Exit codes: 0 success, 2 config error, 3 training or
+Each command's plan checks its config, loads its input files and builds
+every object the run uses; only then is the experiment manifest written, and
+the planned step trains and writes CSV artifacts (always) and SVG plots (with
+--svg).  Exit codes: 0 success, 2 config error, 3 training or
 solver failure, 4 I/O error or malformed input file.
 """
 
@@ -114,16 +115,8 @@ def resolve_config(defaults: dict, file_cfg: dict[str, str],
     for key, raw in file_cfg.items():
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
-        ref = cfg[key]
-        try:
-            if isinstance(ref, bool):
-                cfg[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(ref, int):
-                cfg[key] = int(raw)
-            elif isinstance(ref, float):
-                cfg[key] = float(raw)
-            else:
-                cfg[key] = raw
+        try:  # the type build_parser gives the key's flag
+            cfg[key] = type(defaults[key])(raw)
         except ValueError:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r}")
     for key, val in cli.items():
@@ -172,16 +165,13 @@ def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
 
 @dataclass
 class Run:
-    """One command invocation after its config and inputs were checked: the
-    resolved config, the solver and training configs built from it, what
-    the command's prepare step loaded, and the training failures so far."""
+    """Where and how a planned step writes: the output directory, --svg,
+    the solver and training configs, and the training failures so far."""
 
-    cfg: dict
     out: Path
     svg: bool
     solver: SolverConfig
     train: trn.TrainConfig
-    inputs: object = None
     failures: list[str] = field(default_factory=list)
 
     def fit(self, stem: str, model: mdl.Model, train_set, val_set=None,
@@ -195,13 +185,7 @@ class Run:
         return record
 
 
-def _choices(**allowed) -> Callable[[dict], None]:
-    """A prepare step that checks each key against its allowed values."""
-    def check(cfg: dict) -> None:
-        for key, values in allowed.items():
-            if cfg[key] not in values:
-                raise ConfigError(f"--{key} must be one of {values}")
-    return check
+Step = Callable[[Run], None]
 
 
 def _toy_model(cfg: dict, kind: str, dim: int) -> mdl.Model:
@@ -221,85 +205,92 @@ def _toy_dataset(dim: int, seed: int) -> dat.LabeledSet:
     return dat.gen_concentric(dat.SphereAnnulusConfig(d=2, seed=seed))
 
 
-def run_toy(run: Run) -> None:
-    cfg, kind = run.cfg, run.cfg["model"]
-    dataset = _toy_dataset(cfg["dim"], cfg["seed"])
-    model = _toy_model(cfg, kind, cfg["dim"])
-    record = run.fit(kind, model, dataset)
-    n_show = min(20, len(dataset))
-    snap = mdl.flow_trajectory(model, dataset.inputs[:n_show], 25,
-                               run.solver, dataset.targets[:n_show])
-    write_flow_csv(run.out / f"{kind}_flow.csv", snap)
-    if run.svg:
-        svg.trajectory_plot(run.out / f"{kind}_flow.svg", snap.states,
-                            snap.labels, title="flow trajectories")
-    if record.error is None:
-        print(f"final train loss {record.epochs[-1].train_loss:.6g} "
-              f"(artifacts in {run.out})")
+def plan_toy(cfg: dict) -> Step:
+    kind, dim = cfg["model"], cfg["dim"]
+    if dim not in (1, 2):
+        raise ConfigError("--dim must be one of (1, 2)")
+    dataset = _toy_dataset(dim, cfg["seed"])
+    model = _toy_model(cfg, kind, dim)
+
+    def step(run: Run) -> None:
+        record = run.fit(kind, model, dataset)
+        snap = mdl.flow_trajectory(model, dataset.inputs[:20], 25,
+                                   run.solver, dataset.targets[:20])
+        write_flow_csv(run.out / f"{kind}_flow.csv", snap)
+        if run.svg:
+            svg.trajectory_plot(run.out / f"{kind}_flow.svg", snap.states,
+                                snap.labels, title="flow trajectories")
+        if record.error is None:
+            print(f"final train loss {record.epochs[-1].train_loss:.6g} "
+                  f"(artifacts in {run.out})")
+    return step
 
 
-def _prepare_nfe(cfg: dict) -> None:
-    _choices(model=("node", "anode"))(cfg)
-    if cfg["snapshot_every"] < 1:
+def plan_nfe(cfg: dict) -> Step:
+    kind, every = cfg["model"], cfg["snapshot_every"]
+    if kind not in ("node", "anode"):
+        raise ConfigError("--model must be one of ('node', 'anode')")
+    if every < 1:
         raise ConfigError("--snapshot-every must be >= 1")
-
-
-def run_nfe(run: Run) -> None:
-    cfg, out = run.cfg, run.out
     dataset = _toy_dataset(2, cfg["seed"])
-    model = _toy_model(cfg, cfg["model"], 2)
+    model = _toy_model(cfg, kind, 2)
     probe = dataset.inputs[:: max(1, len(dataset) // 200)]
 
-    def snapshot(epoch, m):
-        if epoch % cfg["snapshot_every"] == 0:
-            with no_grad():
-                feats = mdl.features(m, Tensor(probe), run.solver).data
-            header = ",".join(f"s{i}" for i in range(feats.shape[1]))
-            write_csv(out / f"features_epoch{epoch:03d}.csv", header, feats)
+    def step(run: Run) -> None:
+        def snapshot(epoch, m):
+            if epoch % every == 0:
+                with no_grad():
+                    feats = mdl.features(m, Tensor(probe), run.solver).data
+                header = ",".join(f"s{i}" for i in range(feats.shape[1]))
+                write_csv(run.out / f"features_epoch{epoch:03d}.csv", header, feats)
 
-    record = run.fit(cfg["model"], model, dataset, epoch_callback=snapshot)
-    write_csv(out / "nfe_vs_epoch.csv", "epoch,nfe_forward_mean",
-              [(e.epoch, e.nfe_forward_mean) for e in record.epochs])
-    write_csv(out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
-              [(e.nfe_forward_mean, e.train_loss) for e in record.epochs])
-    if run.svg:
-        svg.line_plot(out / "nfe.svg",
-                      {"nfe": (record.metric("epoch"),
-                               record.metric("nfe_forward_mean"))},
-                      title="NFE per epoch")
-    if record.error is None:
-        nfes = record.metric("nfe_forward_mean")
-        print(f"NFE epoch0 {nfes[0]:.1f} -> final {nfes[-1]:.1f} "
-              f"(ratio {nfes[-1] / nfes[0]:.2f}); artifacts in {out}")
+        record = run.fit(kind, model, dataset, epoch_callback=snapshot)
+        write_csv(run.out / "nfe_vs_epoch.csv", "epoch,nfe_forward_mean",
+                  [(e.epoch, e.nfe_forward_mean) for e in record.epochs])
+        write_csv(run.out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
+                  [(e.nfe_forward_mean, e.train_loss) for e in record.epochs])
+        if run.svg:
+            svg.line_plot(run.out / "nfe.svg",
+                          {"nfe": (record.metric("epoch"),
+                                   record.metric("nfe_forward_mean"))},
+                          title="NFE per epoch")
+        if record.error is None:
+            nfes = record.metric("nfe_forward_mean")
+            print(f"NFE epoch0 {nfes[0]:.1f} -> final {nfes[-1]:.1f} "
+                  f"(ratio {nfes[-1] / nfes[0]:.2f}); artifacts in {run.out}")
+    return step
 
 
-def run_generalization(run: Run) -> None:
-    cfg = run.cfg
-    dataset = _toy_dataset(2, cfg["seed"])
-    train_set, val_set = dat.angular_split(dataset, 0.0, np.pi / 5)
+def plan_generalization(cfg: dict) -> Step:
+    train_set, val_set = dat.angular_split(_toy_dataset(2, cfg["seed"]),
+                                           0.0, np.pi / 5)
     grid = np.stack(np.meshgrid(np.linspace(-2, 2, 100),
                                 np.linspace(-2, 2, 100),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
-    for kind in ("node", "anode"):
-        model = _toy_model(cfg, kind, 2)
-        record = run.fit(kind, model, train_set, val_set)
-        with no_grad():
-            preds = np.concatenate(
-                [mdl.node_forward(model, Tensor(grid[i:i + 500]), run.solver)[0]
-                 .data.reshape(-1) for i in range(0, len(grid), 500)])
-        write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
-                  [(g[0], g[1], p) for g, p in zip(grid, preds)])
-        if record.error is None:
-            print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
-    if not run.failures:
-        print(f"artifacts in {run.out}")
+    models = {kind: _toy_model(cfg, kind, 2) for kind in ("node", "anode")}
+
+    def step(run: Run) -> None:
+        for kind, model in models.items():
+            record = run.fit(kind, model, train_set, val_set)
+            with no_grad():
+                preds = np.concatenate(
+                    [mdl.node_forward(model, Tensor(grid[i:i + 500]),
+                                      run.solver)[0].data.reshape(-1)
+                     for i in range(0, len(grid), 500)])
+            write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
+                      [(g[0], g[1], p) for g, p in zip(grid, preds)])
+            if record.error is None:
+                print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
+        if not run.failures:
+            print(f"artifacts in {run.out}")
+    return step
 
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
-def load_mnist(cfg: dict) -> tuple[dat.LabeledSet, dat.LabeledSet]:
+def plan_mnist_mini(cfg: dict) -> Step:
     data_dir = Path(cfg["data_dir"])
     paths = [data_dir / f for f in MNIST_FILES]
     missing = [str(p) for p in paths if not p.exists()]
@@ -309,36 +300,32 @@ def load_mnist(cfg: dict) -> tuple[dat.LabeledSet, dat.LabeledSet]:
             "\nDownload train-images-idx3-ubyte(.gz) etc. from an MNIST "
             f"mirror, gunzip them, and place them in {data_dir}/ "
             "(this tool performs no network access).")
-    return (dat.load_idx(paths[0], paths[1], limit=cfg["train_limit"],
-                         class_filter={0, 1}),
-            dat.load_idx(paths[2], paths[3], limit=cfg["test_limit"],
-                         class_filter={0, 1}))
-
-
-def run_mnist_mini(run: Run) -> None:
-    cfg = run.cfg
-    train_set, test_set = run.inputs
-    run.train = replace(run.train, loss="cross_entropy")
+    train_set = dat.load_idx(paths[0], paths[1], limit=cfg["train_limit"],
+                             class_filter={0, 1})
+    test_set = dat.load_idx(paths[2], paths[3], limit=cfg["test_limit"],
+                            class_filter={0, 1})
+    if not len(train_set) or not len(test_set):
+        raise ConfigError("no digits 0/1 among the training or test images read")
     k_anode, k_node = mdl.match_conv_filters(
         channels_a=1 + cfg["aug"], channels_b=1, base_filters=cfg["filters"],
         output_dim=2)
-    specs = {
-        "anode": mdl.ModelSpec(kind="anode", input_dim=1, hidden_dim=k_anode,
-                               p=cfg["aug"], output_dim=2, conv=True),
-        "node": mdl.ModelSpec(kind="node", input_dim=1, hidden_dim=k_node,
-                              output_dim=2, conv=True),
-    }
-    counts = {k: mdl.param_count(s) for k, s in specs.items()}
-    print(f"parameter counts: {counts} "
-          f"(mismatch {abs(counts['node'] - counts['anode']) / counts['node']:.2%})")
-    for kind, spec in specs.items():
-        record = run.fit(kind, mdl.Model(spec, seed=cfg["seed"]), train_set,
-                         test_set)
-        if record.error is None:
-            print(f"{kind}: test acc {record.epochs[-1].val_acc:.4f}, "
-                  f"mean NFE {record.epochs[-1].nfe_forward_mean:.1f}")
-    if not run.failures:
-        print(f"artifacts in {run.out}")
+    models = {kind: mdl.Model(mdl.ModelSpec(kind=kind, input_dim=1, hidden_dim=k, p=p,
+                                            output_dim=2, conv=True), seed=cfg["seed"])
+              for kind, k, p in (("anode", k_anode, cfg["aug"]), ("node", k_node, 0))}
+
+    def step(run: Run) -> None:
+        run.train = replace(run.train, loss="cross_entropy")
+        counts = {k: m.param_count() for k, m in models.items()}
+        print(f"parameter counts: {counts} (mismatch "
+              f"{abs(counts['node'] - counts['anode']) / counts['node']:.2%})")
+        for kind, model in models.items():
+            record = run.fit(kind, model, train_set, test_set)
+            if record.error is None:
+                print(f"{kind}: test acc {record.epochs[-1].val_acc:.4f}, "
+                      f"mean NFE {record.epochs[-1].nfe_forward_mean:.1f}")
+        if not run.failures:
+            print(f"artifacts in {run.out}")
+    return step
 
 
 def sweep_grid(model_kind: str) -> dict:
@@ -350,98 +337,96 @@ def sweep_grid(model_kind: str) -> dict:
     return grid
 
 
-def _prepare_sweep(cfg: dict) -> None:
-    _choices(model=mdl.KINDS)(cfg)
-    n = cfg["n_inner"] + cfg["n_outer"]
-    if not 2 <= cfg["cv_folds"] <= n:
-        raise ConfigError(f"--cv-folds must lie in [2, {n}] (n-inner + n-outer)")
-
-
-def run_sweep(run: Run) -> None:
-    cfg, kind = run.cfg, run.cfg["model"]
+def plan_sweep(cfg: dict) -> Step:
+    kind, dim, folds = cfg["model"], cfg["dim"], cfg["cv_folds"]
     dataset = dat.gen_concentric(dat.SphereAnnulusConfig(
-        d=cfg["dim"], n_inner=cfg["n_inner"], n_outer=cfg["n_outer"],
+        d=dim, n_inner=cfg["n_inner"], n_outer=cfg["n_outer"],
         seed=cfg["seed"]))
+    if not 2 <= folds <= len(dataset):
+        raise ConfigError(f"--cv-folds must lie in [2, {len(dataset)}] "
+                          "(n-inner + n-outer)")
+    grid = sweep_grid(kind)
 
-    def build(cell, seed):
-        spec = mdl.ModelSpec(kind=kind, input_dim=cfg["dim"],
-                             hidden_dim=cell["hidden"],
+    def spec(cell: dict) -> mdl.ModelSpec:
+        return mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=cell["hidden"],
                              p=cell.get("aug", 0), output_dim=1,
                              resnet_layers=cell.get("layers", 0))
-        return mdl.Model(spec, seed=seed)
 
-    results = trn.grid_search(sweep_grid(kind), build, dataset,
-                              epochs=cfg["epochs"], cv_folds=cfg["cv_folds"],
-                              base_cfg=run.train)
-    keys = sorted({k for r in results for k in r.cell})
-    rows = [[*(r.cell.get(k, "") for k in keys), fold, loss]
-            for r in results for fold, loss in enumerate(r.fold_losses)]
-    write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss", rows)
-    write_csv(run.out / "sweep_summary.csv",
-              ",".join(keys) + ",mean_val_loss,error",
-              [[*(r.cell.get(k, "") for k in keys),
-                r.mean_val_loss if r.fold_losses else None, r.error]
-               for r in results])
-    best = results[0]
-    print(f"{len(results)} cells; best {best.cell} "
-          f"mean val loss {best.mean_val_loss:.6g}; artifacts in {run.out}")
+    spec({k: v[0] for k, v in grid.items()})  # checks the kind; grid values are valid
+
+    def step(run: Run) -> None:
+        results = trn.grid_search(
+            grid, lambda cell, seed: mdl.Model(spec(cell), seed=seed), dataset,
+            epochs=run.train.epochs, cv_folds=folds, base_cfg=run.train)
+        keys = sorted({k for r in results for k in r.cell})
+        rows = [[*(r.cell.get(k, "") for k in keys), fold, loss]
+                for r in results for fold, loss in enumerate(r.fold_losses)]
+        write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
+                  rows)
+        write_csv(run.out / "sweep_summary.csv",
+                  ",".join(keys) + ",mean_val_loss,error",
+                  [[*(r.cell.get(k, "") for k in keys),
+                    r.mean_val_loss if r.fold_losses else None, r.error]
+                   for r in results])
+        best = results[0]
+        print(f"{len(results)} cells; best {best.cell} "
+              f"mean val loss {best.mean_val_loss:.6g}; artifacts in {run.out}")
+    return step
 
 
-def load_export_checkpoint(cfg: dict) -> mdl.Model:
+def plan_export_flows(cfg: dict) -> Step:
+    n_points, n_times = cfg["n_points"], cfg["n_times"]
     if not cfg["checkpoint"]:
         raise ConfigError("--checkpoint is required")
+    if n_points < 1 or n_times < 2:
+        raise ConfigError("--n-points must be >= 1 and --n-times >= 2")
     model = load_checkpoint(cfg["checkpoint"])
     if model.spec.conv:
         raise ConfigError(f"{cfg['checkpoint']}: flows of image (conv) models "
                           "are unsupported")
-    return model
-
-
-def run_export_flows(run: Run) -> None:
-    cfg, model, out = run.cfg, run.inputs, run.out
     d = model.spec.input_dim
-    rng = np.random.default_rng(cfg["seed"])
     if d == 1:
-        points = np.linspace(-1.5, 1.5, cfg["n_points"])[:, None]
+        points = np.linspace(-1.5, 1.5, n_points)[:, None]
     else:
-        points = rng.uniform(-1.5, 1.5, size=(cfg["n_points"], d))
-    snap = mdl.flow_trajectory(model, points, cfg["n_times"], run.solver)
-    write_flow_csv(out / "flow.csv", snap)
+        points = np.random.default_rng(cfg["seed"]).uniform(
+            -1.5, 1.5, size=(n_points, d))
 
-    if model.spec.kind != "resnet":
-        sd = model.spec.state_dim
-        axis = np.linspace(-2.0, 2.0, 10)
-        mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
-                        axis=-1).reshape(-1, min(sd, 2))
-        mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))  # zero aug dims
-        vecs = mdl.vector_field(model, mesh, [0.0, 0.5, 1.0])
-        header = ("t," + ",".join(f"x{i}" for i in range(sd)) + "," +
-                  ",".join(f"f{i}" for i in range(sd)))
-        rows = []
-        for ti, t in enumerate([0.0, 0.5, 1.0]):
-            for pt, vec in zip(mesh, vecs[ti]):
-                rows.append([t, *pt, *vec])
-        write_csv(out / "field.csv", header, rows)
-        if run.svg and sd == 2:
-            svg.field_plot(out / "field.svg", mesh, vecs[0],
-                           title="vector field at t=0")
-    if run.svg:
-        svg.trajectory_plot(out / "flow.svg", snap.states, snap.labels,
-                            title="flow trajectories")
-    print(f"artifacts in {out}")
+    def step(run: Run) -> None:
+        snap = mdl.flow_trajectory(model, points, n_times, run.solver)
+        write_flow_csv(run.out / "flow.csv", snap)
+        if model.spec.kind != "resnet":
+            sd = model.spec.state_dim
+            axis = np.linspace(-2.0, 2.0, 10)
+            mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
+                            axis=-1).reshape(-1, min(sd, 2))
+            mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))  # zero aug dims
+            times = [0.0, 0.5, 1.0]
+            vecs = mdl.vector_field(model, mesh, times)
+            header = ("t," + ",".join(f"x{i}" for i in range(sd)) + "," +
+                      ",".join(f"f{i}" for i in range(sd)))
+            write_csv(run.out / "field.csv", header,
+                      [[t, *pt, *vec] for t, at_t in zip(times, vecs)
+                       for pt, vec in zip(mesh, at_t)])
+            if run.svg and sd == 2:
+                svg.field_plot(run.out / "field.svg", mesh, vecs[0],
+                               title="vector field at t=0")
+        if run.svg:
+            svg.trajectory_plot(run.out / "flow.svg", snap.states, snap.labels,
+                                title="flow trajectories")
+        print(f"artifacts in {run.out}")
+    return step
 
 
 @dataclass(frozen=True)
 class Command:
     """One subcommand.  Its flags are the dash-cased keys of ``defaults``,
-    typed like their default values.  ``prepare`` checks the resolved config
-    and loads the command's input files before the manifest is written
-    (its result is ``Run.inputs``); ``run`` trains and writes the rest."""
+    typed like their default values.  ``plan`` checks the resolved config,
+    loads the input files and builds every object the run uses, before the
+    manifest is written; the step it returns trains and writes the rest."""
 
     help: str
     defaults: dict
-    run: Callable[[Run], None]
-    prepare: Callable[[dict], object] = _choices()
+    plan: Callable[[dict], Step]
 
 
 COMMANDS = {
@@ -450,38 +435,38 @@ COMMANDS = {
         {"dim": 1, "model": "node", "aug": 5, "hidden": 32, "layers": 5,
          "lr": 1e-3, "batch": 64, "epochs": 50, "seed": 0, "wd": 0.0,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/toy"},
-        run_toy, _choices(dim=(1, 2), model=mdl.KINDS)),
+        plan_toy),
     "nfe": Command(
         "track solver evaluations during training on 2-d concentric data",
         {"model": "node", "aug": 5, "hidden": 32, "lr": 1e-3, "batch": 64,
          "epochs": 30, "seed": 0, "wd": 0.0, "snapshot_every": 6,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/nfe"},
-        run_nfe, _prepare_nfe),
+        plan_nfe),
     "generalization": Command(
         "train/val comparison with an angular slice held out",
         {"aug": 5, "hidden": 32, "lr": 1e-3, "batch": 64, "epochs": 30,
          "seed": 0, "wd": 0.0, "solver_rtol": 1e-3, "solver_atol": 1e-3,
          "out": "out/generalization"},
-        run_generalization),
+        plan_generalization),
     "mnist-mini": Command(
         "parameter-matched conv models on MNIST digits 0/1",
         {"data_dir": "data/mnist", "lr": 1e-3, "batch": 64, "epochs": 3,
          "seed": 0, "wd": 0.0, "filters": 32, "aug": 5,
          "train_limit": 2000, "test_limit": 500,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/mnist"},
-        run_mnist_mini, load_mnist),
+        plan_mnist_mini),
     "sweep": Command(
         "hyperparameter grid search with cross validation",
         {"model": "anode", "dim": 1, "epochs": 10, "seed": 0,
          "n_inner": 150, "n_outer": 300, "cv_folds": 3,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/sweep"},
-        run_sweep, _prepare_sweep),
+        plan_sweep),
     "export-flows": Command(
         "flow trajectory and vector field CSVs from a checkpoint",
         {"checkpoint": "", "n_points": 20, "n_times": 25,
          "solver_rtol": 1e-3, "solver_atol": 1e-3, "out": "out/flows",
          "seed": 0},
-        run_export_flows, load_export_checkpoint),
+        plan_export_flows),
 }
 
 # config key -> TrainConfig field, for the keys a command has
@@ -504,17 +489,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(name: str, args: argparse.Namespace) -> int:
-    """Resolve and check the config, load the inputs, write the manifest,
-    run the command, and return its exit code."""
+    """Resolve the config, build the solver and training configs, plan the
+    run, write the manifest, run the planned step, and return the exit code;
+    every check is done before the manifest is written."""
     cmd = COMMANDS[name]
     file_cfg = parse_config_file(args.config) if args.config else {}
     cfg = resolve_config(cmd.defaults, file_cfg, vars(args))
     solver = SolverConfig(rtol=cfg["solver_rtol"], atol=cfg["solver_atol"])
     train = trn.TrainConfig(solver=solver, **{
         f: cfg[k] for k, f in TRAIN_FIELDS.items() if k in cfg})
-    run = Run(cfg, Path(cfg["out"]), args.svg, solver, train, cmd.prepare(cfg))
+    step = cmd.plan(cfg)
+    run = Run(Path(cfg["out"]), args.svg, solver, train)
     write_manifest(run.out, name, cfg, [cfg["seed"]])
-    cmd.run(run)
+    step(run)
     for msg in run.failures:
         print(msg, file=sys.stderr)
     return EXIT_TRAINING if run.failures else EXIT_OK

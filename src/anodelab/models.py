@@ -37,6 +37,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
+            raise ValueError("input_dim, hidden_dim and output_dim must be >= 1")
         if self.p < 0:
             raise ValueError("augmentation size p must be >= 0")
         if self.kind == "resnet" and self.resnet_layers < 1:

@@ -35,12 +35,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if self.loss not in ("mse", "cross_entropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -61,6 +61,9 @@ class TestConcentric:
             SphereAnnulusConfig(r1=1.0, r2=0.5)
         with pytest.raises(ValueError):
             SphereAnnulusConfig(r1=0.0)
+        for bad in ({"d": 0}, {"n_inner": -1}, {"n_outer": -1}):
+            with pytest.raises(ValueError, match="n_inner, n_outer >= 0"):
+                SphereAnnulusConfig(**bad)
 
 
 class TestAngularSplit:
@@ -111,6 +114,12 @@ class TestIdx:
         ip, lp, _ = self._write_sample(tmp_path, [0, 7, 1, 7, 0, 1, 0])
         ds = load_idx(ip, lp, class_filter={0, 1}, limit=4)
         assert np.array_equal(ds.targets, [0, 1, 0, 1])
+
+    def test_negative_limit_rejected(self, tmp_path):
+        ip, lp, _ = self._write_sample(tmp_path, [0, 1, 1])
+        assert len(load_idx(ip, lp, limit=0)) == 0
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            load_idx(ip, lp, limit=-1)
 
     def test_bad_magic_reports_offset(self, tmp_path):
         p = tmp_path / "bad"

@@ -393,6 +393,39 @@ class TestSolverFailure:
         assert f"solver failure: dopri5: {message}" in capsys.readouterr().err
 
 
+# every int config key of every command, set to 0 and to -1; key None is the
+# command's cheap base run, which must succeed for the probes to mean anything
+INT_KEY_PROBES = [(name, None, None) for name in COMMANDS] + [
+    (name, key, value) for name, cmd in COMMANDS.items()
+    for key, default in cmd.defaults.items() if type(default) is int
+    for value in (0, -1)]
+
+
+@pytest.fixture(scope="module")
+def cheap_argv(tmp_path_factory):
+    """The cheapest valid argv of each command, with its input files."""
+    root = tmp_path_factory.mktemp("inputs")
+    images = np.random.default_rng(0).integers(0, 256, (4, 4, 4), dtype=np.uint8)
+    for i in (0, 2):
+        write_idx(root / MNIST_FILES[i], root / MNIST_FILES[i + 1], images,
+                  np.array([0, 1, 0, 1], np.uint8))
+    ckpt = root / "m.ckpt"
+    save_checkpoint(ckpt, Model(ModelSpec(input_dim=2, hidden_dim=1), seed=0))
+    return {
+        "toy": ["--epochs", "1", "--hidden", "1"],
+        "nfe": ["--epochs", "1", "--hidden", "1", "--batch", "3000"],
+        "generalization": ["--epochs", "1", "--hidden", "1", "--aug", "1",
+                           "--batch", "3000"],
+        "mnist-mini": ["--data-dir", str(root), "--epochs", "1",
+                       "--filters", "1", "--aug", "1",
+                       "--train-limit", "2", "--test-limit", "2"],
+        "sweep": ["--epochs", "1", "--n-inner", "2", "--n-outer", "2",
+                  "--cv-folds", "2"],
+        "export-flows": ["--checkpoint", str(ckpt), "--n-points", "1",
+                         "--n-times", "2"],
+    }
+
+
 class TestManifestFirst:
     def test_manifest_written_before_training(self, tmp_path, monkeypatch):
         # force training to explode; the manifest must already be on disk
@@ -418,3 +451,17 @@ class TestManifestFirst:
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, key, value", INT_KEY_PROBES,
+                             ids=[f"{n}-base" if k is None else f"{n}-{k}={v}"
+                                  for n, k, v in INT_KEY_PROBES])
+    def test_int_key_at_0_and_minus_1(self, tmp_path, cheap_argv, name, key, value):
+        """A probed value is either valid (exit 0) or rejected before anything is
+        written (exit 2, no output directory); never a traceback, and never a
+        config or training failure after the manifest."""
+        probe = [] if key is None else ["--" + key.replace("_", "-"), str(value)]
+        out = tmp_path / "out"
+        code = run([name, *cheap_argv[name], *probe, "--out", str(out)])
+        if key is None:
+            assert code == EXIT_OK
+        assert code == EXIT_OK or (code == EXIT_CONFIG and not out.exists())

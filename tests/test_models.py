@@ -23,6 +23,10 @@ class TestModelSpec:
         {"kind": "resnet", "resnet_layers": 0},
         {"head": "linear"},
         {"head": "identity", "input_dim": 2, "output_dim": 1},
+        {"input_dim": 0},
+        {"hidden_dim": 0},
+        {"output_dim": 0},
+        {"hidden_dim": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

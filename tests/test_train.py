@@ -35,6 +35,7 @@ def fast_cfg(**kw):
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0}, {"epochs": 0}, {"weight_decay": -0.1}, {"loss": "hinge"},
+        {"batch_size": 0}, {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
