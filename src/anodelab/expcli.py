@@ -291,6 +291,8 @@ MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
 
 
 def plan_mnist_mini(cfg: dict) -> Step:
+    if cfg["aug"] < 0 or cfg["filters"] < 1:
+        raise ConfigError("--aug must be >= 0 and --filters >= 1")
     data_dir = Path(cfg["data_dir"])
     paths = [data_dir / f for f in MNIST_FILES]
     missing = [str(p) for p in paths if not p.exists()]

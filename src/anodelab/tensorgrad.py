@@ -1,9 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 The engine is tape-based: while a :class:`CompGraph` is active, every primitive
-records one node (operation, input node ids, backward rule).  ``backward``
-walks the tape once in reverse and accumulates gradients into the ``.grad``
-buffers of leaf tensors that were created with ``requires_grad=True``.
+records one node (its output tensor and its backward rule).  Leaves
+(parameters, inputs, constants) are never recorded.  ``backward`` walks the
+tape once in reverse; a gradient that reaches a leaf created with
+``requires_grad=True`` is added into its ``.grad`` buffer, and one that reaches
+any other leaf is dropped.  A tensor knows its graph only by serial number, so
+nothing refers back to a tape, and reference counting frees the tape as soon as
+its graph is unbound.
 
 Only the primitives the dynamics functions and losses need are provided; there
 is no general broadcasting beyond bias addition.
@@ -11,6 +15,7 @@ is no general broadcasting beyond bias addition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -49,21 +54,23 @@ class no_grad:
 
 
 class _Node:
-    __slots__ = ("op", "input_ids", "backward_fn", "tensor", "is_leaf")
+    __slots__ = ("tensor", "backward_fn")
 
-    def __init__(self, op, input_ids, backward_fn, tensor, is_leaf):
-        self.op = op
-        self.input_ids = input_ids
-        self.backward_fn = backward_fn
+    def __init__(self, tensor, backward_fn):
         self.tensor = tensor
-        self.is_leaf = is_leaf
+        self.backward_fn = backward_fn
+
+
+_SERIALS = itertools.count(1)  # 0 marks a tensor computed on no graph
 
 
 class CompGraph:
-    """Execution tape.  Node input ids strictly precede the node by construction."""
+    """Execution tape: one node per tensor computed while it is active, in
+    order of computation."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.serial = next(_SERIALS)
 
     def __enter__(self) -> "CompGraph":
         global _ACTIVE
@@ -79,32 +86,11 @@ class CompGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _register_leaf(self, t: "Tensor") -> int:
-        nid = len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, t, True))
-        t._graph = self
-        t._id = nid
-        return nid
-
-    def _leaf_id(self, t: "Tensor") -> int:
-        if t._graph is self and t._id is not None:
-            return t._id
-        return self._register_leaf(t)
-
-    def _record(self, op: str, inputs: Sequence["Tensor"], out: "Tensor",
-                backward_fn) -> "Tensor":
-        ids = tuple(self._leaf_id(t) for t in inputs)
-        nid = len(self.nodes)
-        self.nodes.append(_Node(op, ids, backward_fn, out, False))
-        out._graph = self
-        out._id = nid
-        return out
-
 
 class Tensor:
     """Dense n-dimensional array of float64 with optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_graph", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_serial", "_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -113,8 +99,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = np.zeros_like(arr) if requires_grad else None
-        self._graph: CompGraph | None = None
-        self._id: int | None = None
+        self._serial = 0        # serial number of the graph that computed it
+        self._id = -1           # its node index on that graph
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -122,8 +108,8 @@ class Tensor:
         t.data = arr
         t.requires_grad = False
         t.grad = None
-        t._graph = None
-        t._id = None
+        t._serial = 0
+        t._id = -1
         return t
 
     @property
@@ -158,10 +144,12 @@ class Tensor:
     __rmul__ = __mul__
 
 
-def _out(op: str, inputs: Sequence[Tensor], data: np.ndarray, backward_fn) -> Tensor:
+def _out(data: np.ndarray, backward_fn) -> Tensor:
     t = Tensor._wrap(data)
     if _ACTIVE is not None:
-        _ACTIVE._record(op, inputs, t, backward_fn)
+        t._serial = _ACTIVE.serial
+        t._id = len(_ACTIVE.nodes)
+        _ACTIVE.nodes.append(_Node(t, backward_fn))
     return t
 
 
@@ -189,7 +177,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
 
-    return _out("add", (a, b), a.data + b.data, bwd)
+    return _out(a.data + b.data, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -198,7 +186,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
 
-    return _out("sub", (a, b), a.data - b.data, bwd)
+    return _out(a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -210,14 +198,14 @@ def mul(a: Tensor, b) -> Tensor:
     def bwd(g):
         return ((a, _unbroadcast(g * bd, a.shape)), (b, _unbroadcast(g * ad, b.shape)))
 
-    return _out("mul", (a, b), ad * bd, bwd)
+    return _out(ad * bd, bwd)
 
 
 def smul(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         return ((a, g * c),)
 
-    return _out("smul", (a,), a.data * c, bwd)
+    return _out(a.data * c, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -232,7 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return ((a, np.outer(g, bd)), (b, ad.T @ g))
         return ((a, g @ bd.T), (b, ad.T @ g))
 
-    return _out("matmul", (a, b), ad @ bd, bwd)
+    return _out(ad @ bd, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -241,7 +229,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * mask),)
 
-    return _out("relu", (a,), np.where(mask, a.data, 0.0), bwd)
+    return _out(np.where(mask, a.data, 0.0), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -260,7 +248,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         parts = np.split(g, splits, axis=axis)
         return tuple(zip(tensors, parts))
 
-    return _out("concat", tuple(tensors), out, bwd)
+    return _out(out, bwd)
 
 
 def mlp(x: Tensor, t: float | None,
@@ -312,8 +300,7 @@ def mlp(x: Tensor, t: float | None,
         grads.append((x, g[:, :-1] if t is not None else g))
         return grads
 
-    inputs = (x,) + tuple(p for layer in layers for p in layer)
-    return _out("mlp", inputs, out, bwd)
+    return _out(out, bwd)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
@@ -322,7 +309,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
             return ((a, np.full(a.shape, float(g))),)
         return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()),)
 
-    return _out("sum", (a,), np.sum(a.data, axis=axis), bwd)
+    return _out(np.sum(a.data, axis=axis), bwd)
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
@@ -341,7 +328,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
             ge = np.expand_dims(ge, ax)
         return ((a, np.broadcast_to(ge, a.shape) / n),)
 
-    return _out("mean", (a,), np.mean(a.data, axis=axis), bwd)
+    return _out(np.mean(a.data, axis=axis), bwd)
 
 
 def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
@@ -360,7 +347,7 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
 
-    return _out("lincomb", tuple(tensors), acc, bwd)
+    return _out(acc, bwd)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
@@ -381,12 +368,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {x.shape}")
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     out = np.einsum("bcyxuv,ocuv->boyx", win, w.data, optimize=True)
-    inputs: list[Tensor] = [x, w]
     if b is not None:
         if b.shape != (w.shape[0],):
             raise ShapeError(f"conv2d: bias {b.shape} does not match filters {w.shape}")
         out = out + b.data[:, None, None]
-        inputs.append(b)
 
     wd = w.data
 
@@ -400,7 +385,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
             grads.append((b, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
 
-    return _out("conv2d", tuple(inputs), out, bwd)
+    return _out(out, bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -419,33 +404,32 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         gl[np.arange(n), labels] -= 1.0
         return ((logits, gl * (float(g) / n)),)
 
-    return _out("softmax_xent", (logits,), np.float64(nll), bwd)
+    return _out(np.float64(nll), bwd)
 
 
 def backward(graph: CompGraph, loss: Tensor) -> None:
     """Reverse pass over the tape; accumulates into leaf ``.grad`` buffers."""
-    if loss._graph is not graph or loss._id is None:
+    serial = graph.serial
+    if loss._serial != serial:
         raise GraphError("backward: loss tensor was not computed on this graph")
     if loss.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    grads: list[np.ndarray | None] = [None] * len(graph.nodes)
+    nodes = graph.nodes
+    grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[loss._id] = np.ones_like(loss.data)
     for nid in range(loss._id, -1, -1):
-        node = graph.nodes[nid]
         g = grads[nid]
         if g is None:
             continue
-        if node.is_leaf:
-            t = node.tensor
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
-        else:
-            for src, gi in node.backward_fn(g):
+        grads[nid] = None  # intermediates release their gradient storage
+        for src, gi in nodes[nid].backward_fn(g):
+            if src._serial == serial:
                 sid = src._id
                 grads[sid] = gi if grads[sid] is None else grads[sid] + gi
-        grads[nid] = None  # intermediates release their gradient storage
+            elif src.requires_grad:
+                if src.grad is None:
+                    src.grad = np.zeros_like(src.data)
+                src.grad += gi
 
 
 class ParamSet:

@@ -33,3 +33,14 @@ def test_site_resolves_to_a_callable(site):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner), site
+
+
+def test_tape_nodes_expose_their_tensor():
+    """The tracer sums ``n.tensor.data.nbytes`` over ``graph.nodes`` for
+    tape_mb_per_step; without those fields it counts tape_unmeasured and
+    drops the metric."""
+    from anodelab import tensorgrad as tg
+    with tg.CompGraph() as g:
+        out = tg.add(tg.Tensor([1.0, 2.0]), tg.Tensor([3.0, 4.0]))
+    nbytes = sum(n.tensor.data.nbytes for n in g.nodes)
+    assert g.nodes[-1].tensor is out and nbytes >= out.data.nbytes

@@ -181,15 +181,14 @@ class TestToyCommand:
 
     def test_non_finite_gradient_exit_3(self, tmp_path, monkeypatch, capsys):
         import anodelab.train as trn
-        real_backward = trn.backward
+        real_adam_step = trn.adam_step
 
-        def nan_backward(graph, loss):
-            real_backward(graph, loss)
-            leaf = next(n.tensor for n in graph.nodes
-                        if n.is_leaf and n.tensor.requires_grad)
-            leaf.grad[...] = np.nan
+        def nan_adam_step(params, state, cfg):
+            for _, p in params.items():
+                p.grad[...] = np.nan
+            real_adam_step(params, state, cfg)
 
-        monkeypatch.setattr(trn, "backward", nan_backward)
+        monkeypatch.setattr(trn, "adam_step", nan_adam_step)
         out = tmp_path / "toy"
         assert run(["toy", "--dim", "1", "--epochs", "1",
                     "--out", str(out)]) == EXIT_TRAINING
@@ -450,6 +449,15 @@ class TestManifestFirst:
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--aug", "-1"), ("--filters", "0")])
+    def test_mnist_mini_error_names_flag(self, tmp_path, cheap_argv, capsys,
+                                         flag, value):
+        out = tmp_path / "out"
+        assert run(["mnist-mini", *cheap_argv["mnist-mini"], flag, value,
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, key, value", INT_KEY_PROBES,

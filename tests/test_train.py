@@ -1,6 +1,9 @@
 """Optimizer behavior, the training loop's record contract, determinism,
 and grid search."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,30 @@ class TestFit:
         rec = fit(m, tiny_dataset(), None, fast_cfg(epochs=1))
         assert rec.metadata.get("nfe_is_layer_count")
         assert rec.epochs[0].nfe_forward_mean == 3.0
+
+    def test_tapes_released_without_cyclic_gc(self, monkeypatch):
+        """Each batch's tape is freed by reference counting alone, and no
+        parameter keeps a graph alive."""
+        graphs = []
+
+        class TrackedGraph(tg.CompGraph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(trn, "CompGraph", TrackedGraph)
+        model = tiny_model()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fit(model, tiny_dataset(), None, fast_cfg(epochs=1, batch_size=8))
+            assert len(graphs) == 4
+            assert all(ref() is None for ref in graphs)
+        finally:
+            if enabled:
+                gc.enable()
+        assert not any(isinstance(r, tg.CompGraph) for _, p in model.params.items()
+                       for r in gc.get_referents(p))
 
 
 class TestTrainRecordCsv:
