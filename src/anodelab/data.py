@@ -7,6 +7,7 @@ bitwise-identical dataset.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -106,34 +107,25 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 array of an IDX file whose magic must be ``magic``; the
+    magic's low byte is the number of dimensions."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 16:
+    head = 4 + 4 * (magic & 0xFF)
+    if len(raw) < head:
         raise IdxFormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
-    need = 16 + n * rows * cols
+    found, *shape = struct.unpack(f">{head // 4}I", raw[:head])
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{found:08x} at byte 0")
+    if 0 in shape[1:]:
+        raise IdxFormatError(f"{path}: zero item size {shape[1:]} at byte 8")
+    need = head + math.prod(shape)
     if len(raw) < need:
         raise IdxFormatError(f"{path}: truncated data at byte {len(raw)} "
                              f"(expected {need})")
-    return np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols,
-                         offset=16).reshape(n, rows, cols)
-
-
-def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise IdxFormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
-    if len(raw) < 8 + n:
-        raise IdxFormatError(f"{path}: truncated data at byte {len(raw)} "
-                             f"(expected {8 + n})")
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8)
+    return np.frombuffer(raw, dtype=np.uint8, count=need - head,
+                         offset=head).reshape(shape)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray,
@@ -158,8 +150,8 @@ def load_idx(images_path, labels_path, limit: int | None = None,
     limit keeps the first matching samples."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, _IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, _IDX_LABELS_MAGIC)
     if len(images) != len(labels):
         raise IdxFormatError(
             f"image count {len(images)} != label count {len(labels)}")

@@ -503,9 +503,11 @@ def run_command(name: str, args: argparse.Namespace) -> int:
     step = cmd.plan(cfg)
     run = Run(Path(cfg["out"]), args.svg, solver, train)
     write_manifest(run.out, name, cfg, [cfg["seed"]])
-    step(run)
-    for msg in run.failures:
-        print(msg, file=sys.stderr)
+    try:  # a training failure is reported even if a later solve raises
+        step(run)
+    finally:
+        for msg in run.failures:
+            print(msg, file=sys.stderr)
     return EXIT_TRAINING if run.failures else EXIT_OK
 
 

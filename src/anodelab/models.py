@@ -37,6 +37,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if any(type(v) is not int for v in (self.input_dim, self.hidden_dim, self.p,
+                                            self.output_dim, self.resnet_layers)):
+            raise ValueError("input_dim, hidden_dim, p, output_dim and "
+                             "resnet_layers must be ints")
+        if type(self.T) not in (int, float) or not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T!r}")
         if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
             raise ValueError("input_dim, hidden_dim and output_dim must be >= 1")
         if self.p < 0:

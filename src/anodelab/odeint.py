@@ -50,10 +50,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4", "dopri5"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.rtol > 0 and self.atol > 0):  # NaN fails too
-            raise ValueError("rtol and atol must be positive")
-        if not self.fixed_step > 0:
-            raise ValueError("fixed_step must be positive")
+        if not 0 < self.rtol < np.inf or not 0 < self.atol < np.inf:  # NaN fails too
+            raise ValueError("rtol and atol must be finite and positive")
+        if not 0 < self.fixed_step < np.inf:
+            raise ValueError("fixed_step must be finite and positive")
 
 
 @dataclass

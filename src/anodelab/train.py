@@ -4,6 +4,9 @@ and grid search with k-fold cross validation.
 Each record row is one training epoch (numbered from 0); train-side metrics
 are running means over that epoch's minibatches, so row 0 already reflects
 the nearly-untrained model and NFE growth can be read directly off the log.
+Training has one failure protocol: the first solver step limit, divergence or
+non-finite gradient ends the fit, and the partial record names where it
+happened.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ class TrainConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # NaN fails too
+            raise ValueError("lr must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.loss not in ("mse", "cross_entropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.seed < 0:
@@ -162,13 +165,13 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
     Train loss/accuracy/NFE are running means over that epoch's batches, so
     row 0 reflects the nearly-untrained model.  The optional callback fires
     once before training (index 0) and after each epoch (1..epochs), for
-    feature-snapshot exports.  A StepLimit on a batch skips that batch
-    (counted in metadata); a Divergence or a non-finite gradient halts
-    training and returns the partial record with the error field set."""
+    feature-snapshot exports.  The first step limit, divergence or non-finite
+    gradient, in a training batch or in the validation pass, ends training:
+    the partial record is returned with the error field set."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     record = TrainRecord(metadata={"seed": cfg.seed, "kind": model.spec.kind,
-                                   "p": model.spec.aug, "skipped_batches": 0})
+                                   "p": model.spec.aug})
     if model.spec.kind == "resnet":
         record.metadata["nfe_is_layer_count"] = True
     state = AdamState()
@@ -181,35 +184,30 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
         n = 0
         n_batches = 0
         shuffle_seed = (cfg.seed * 1_000_003 + epoch) & 0x7FFFFFFF
-        for bi, (xb, yb) in enumerate(batches(train_set, cfg.batch_size,
-                                              shuffle_seed)):
-            try:
+        try:
+            for bi, (xb, yb) in enumerate(batches(train_set, cfg.batch_size,
+                                                  shuffle_seed)):
+                where = f"batch {bi}"
                 with CompGraph() as g:
                     out, nfe = node_forward(model, Tensor(xb), cfg.solver)
                     loss, acc = _loss_and_acc(out, yb, cfg.loss)
                 backward(g, loss)
                 adam_step(model.params, state, cfg)
-            except StepLimitError:
-                record.metadata["skipped_batches"] += 1
-                model.params.zero_grad()
-                continue
-            except (DivergenceError, GradientError) as exc:
-                what = "divergence" if isinstance(exc, DivergenceError) else "gradient"
-                record.error = f"{what} at epoch {epoch} batch {bi}: {exc}"
-                record.final_params = model.params.copy_values()
-                return record
-            tot_loss += loss.item() * len(xb)
-            tot_acc += acc * len(xb)
-            tot_nfe += nfe
-            n += len(xb)
-            n_batches += 1
-        if n == 0:
-            record.error = f"all batches skipped at epoch {epoch}"
+                tot_loss += loss.item() * len(xb)
+                tot_acc += acc * len(xb)
+                tot_nfe += nfe
+                n += len(xb)
+                n_batches += 1
+            where = "validation"
+            vl = va = None
+            if val_set is not None and len(val_set) > 0:
+                vl, va, _ = evaluate(model, val_set, cfg)
+        except (StepLimitError, DivergenceError, GradientError) as exc:
+            what = ("step limit" if isinstance(exc, StepLimitError) else
+                    "divergence" if isinstance(exc, DivergenceError) else "gradient")
+            record.error = f"{what} at epoch {epoch} {where}: {exc}"
             record.final_params = model.params.copy_values()
             return record
-        vl = va = None
-        if val_set is not None and len(val_set) > 0:
-            vl, va, _ = evaluate(model, val_set, cfg)
         wall = (time.perf_counter() - t_start) * 1000.0
         record.epochs.append(EpochStats(epoch, tot_loss / n, tot_acc / n, vl, va,
                                         tot_nfe / n_batches, wall))
@@ -261,12 +259,8 @@ def grid_search(grid: dict[str, Sequence], build_model: Callable[[dict, int], Mo
         for fold, (tr_idx, va_idx) in enumerate(_kfold(len(dataset), cv_folds,
                                                        base_cfg.seed)):
             model = build_model(cell, base_cfg.seed + fold)
-            try:  # fit's validation pass does not catch solver failures
-                rec = fit(model, dataset.subset(tr_idx), dataset.subset(va_idx),
-                          replace(cfg, seed=base_cfg.seed + fold))
-            except (StepLimitError, DivergenceError) as exc:
-                res.error = f"fold {fold}: {exc}"
-                break
+            rec = fit(model, dataset.subset(tr_idx), dataset.subset(va_idx),
+                      replace(cfg, seed=base_cfg.seed + fold))
             if rec.error is not None:  # cell marked failed, search continues
                 res.error = f"fold {fold}: {rec.error}"
                 break

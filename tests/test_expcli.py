@@ -5,20 +5,23 @@ import argparse
 import functools
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import anodelab.expcli as cli
-from anodelab.data import write_idx
+from anodelab.data import LabeledSet, load_idx, write_idx
 from anodelab.expcli import (CKPT_MAGIC, CKPT_VERSION, COMMANDS, EXIT_CONFIG,
                              EXIT_IO, EXIT_OK, EXIT_TRAINING, MNIST_FILES,
                              ConfigError, build_parser, load_checkpoint, main,
                              parse_config_file, resolve_config,
                              save_checkpoint)
-from anodelab.models import Model, ModelSpec
-from anodelab.odeint import SolverConfig
+from anodelab.models import Model, ModelSpec, node_forward, param_count
+from anodelab.odeint import SolverConfig, StepLimitError
+from anodelab.tensorgrad import Tensor, no_grad
 
 
 def run(argv):
@@ -74,6 +77,18 @@ class TestCheckpoint:
         "trailing bytes": (lambda s, p: TestCheckpoint._pack(
             json.dumps(s).encode(), p + b"\x00" * 8),
             "8 bytes after the parameters"),
+        "T not a number": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "T": "x"}).encode(), p), "malformed model spec"),
+        "T NaN": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "T": float("nan")}).encode(), p),
+            "malformed model spec"),
+        "T negative": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "T": -1.0}).encode(), p), "malformed model spec"),
+        "T zero": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "T": 0.0}).encode(), p), "malformed model spec"),
+        "anode p bool": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "kind": "anode", "p": True}).encode(), p),
+            "malformed model spec"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -254,6 +269,23 @@ class TestGeneralizationCommand:
             assert (out / f"{kind}_train.csv").exists()
             assert (out / f"{kind}.ckpt").exists()
 
+    def test_validation_failure_is_a_training_failure(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def failing_evaluate(*args):
+            raise StepLimitError("dopri5: step limit 7 reached", 7)
+
+        monkeypatch.setattr(cli.trn, "evaluate", failing_evaluate)
+        out = tmp_path / "gen"
+        assert run(["generalization", "--epochs", "1", "--hidden", "1",
+                    "--batch", "3000", "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        for kind in ("node", "anode"):
+            assert (f"{kind}: training failed: step limit at epoch 0 validation: "
+                    "dopri5: step limit 7 reached") in err
+            assert (out / f"{kind}_train.csv").read_text().splitlines() == [
+                cli.trn.TrainRecord.CSV_HEADER]
+            assert (out / f"{kind}.ckpt").exists()
+
 
 class TestMnistMiniCommand:
     def test_missing_data_exit_4_with_instructions(self, tmp_path, capsys):
@@ -305,6 +337,19 @@ class TestMnistMiniCommand:
         assert run(["mnist-mini", "--data-dir", str(data),
                     "--out", str(out)]) == EXIT_IO
         assert "truncated header at byte 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_size_idx_images_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        images, labels = np.zeros((8, 0, 0), np.uint8), np.zeros(8, np.uint8)
+        for i in (0, 2):
+            write_idx(data / MNIST_FILES[i], data / MNIST_FILES[i + 1],
+                      images, labels)
+        out = tmp_path / "out"
+        assert run(["mnist-mini", "--data-dir", str(data), "--filters", "16",
+                    "--out", str(out)]) == EXIT_IO
+        assert "zero item size [0, 0] at byte 8" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -391,6 +436,20 @@ class TestSolverFailure:
                     "--n-times", "3", "--out", str(tmp_path / "flows")]) == EXIT_TRAINING
         assert f"solver failure: dopri5: {message}" in capsys.readouterr().err
 
+    def test_training_failure_reported_when_flow_export_fails(
+            self, tmp_path, monkeypatch, capsys):
+        """The blown-up model fails its flow export too; the training failure
+        still reaches stderr, and the partial artifacts are written."""
+        monkeypatch.setattr(cli, "SolverConfig",
+                            functools.partial(SolverConfig, max_steps=30))
+        out = tmp_path / "toy"
+        assert run(["toy", "--dim", "2", "--model", "node", "--lr", "1e3",
+                    "--epochs", "1", "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "node: training failed: step limit at epoch 0 batch" in err
+        assert "solver failure: dopri5: step limit 30 reached" in err
+        assert (out / "node_train.csv").exists() and (out / "node.ckpt").exists()
+
 
 # every int config key of every command, set to 0 and to -1; key None is the
 # command's cheap base run, which must succeed for the probes to mean anything
@@ -445,7 +504,9 @@ class TestManifestFirst:
         ["sweep", "--epochs", "0"], ["export-flows"],
         ["nfe", "--snapshot-every", "0"], ["sweep", "--cv-folds", "1"],
         ["sweep", "--n-inner", "2", "--n-outer", "2", "--cv-folds", "5"],
-        ["toy", "--solver-rtol", "nan"]])
+        ["toy", "--solver-rtol", "nan"], ["toy", "--lr", "nan"],
+        ["toy", "--lr", "inf"], ["toy", "--wd", "nan"],
+        ["toy", "--solver-rtol", "inf"], ["toy", "--solver-atol", "inf"]])
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
@@ -473,3 +534,74 @@ class TestManifestFirst:
         if key is None:
             assert code == EXIT_OK
         assert code == EXIT_OK or (code == EXIT_CONFIG and not out.exists())
+
+
+# A spec value of each JSON type.  Sizes stay small: a spec is built into a
+# model before the parameter bytes are checked against it.
+SPEC_VALUES = st.one_of(st.integers(-2, 64), st.floats(), st.booleans(),
+                        st.sampled_from(["node", "anode", "resnet", "identity"]),
+                        st.text(max_size=4), st.none())
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderFuzz:
+    """Each input reader returns a valid object or raises an exception that
+    main maps to an exit code; never anything else."""
+
+    @staticmethod
+    def _read(reader, *args):
+        try:
+            return reader(*args)
+        except tuple(cli.EXIT_CODES):
+            return None
+
+    @FUZZ
+    @given(tail=st.binary(max_size=200))
+    def test_checkpoint_bytes_after_header(self, tmp_path, tail):
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(CKPT_MAGIC + struct.pack("<I", CKPT_VERSION) + tail)
+        model = self._read(load_checkpoint, path)
+        assert model is None or isinstance(model, Model)
+
+    @staticmethod
+    def _forward(model):
+        x = np.zeros((1, model.spec.input_dim) + ((3, 3) if model.spec.conv else ()))
+        with no_grad():
+            return node_forward(model, Tensor(x),
+                                SolverConfig(method="rk4", fixed_step=0.5))
+
+    @settings(FUZZ, max_examples=200)
+    @given(spec=st.dictionaries(st.sampled_from([f.name for f in fields(ModelSpec)]),
+                                SPEC_VALUES, max_size=3),
+           data=st.data())
+    def test_checkpoint_spec_values(self, tmp_path, spec, data):
+        """A loaded model must also run: its spec is checked, not just parsed."""
+        params = st.binary(max_size=64)
+        try:  # or zero parameters of the size a file with this spec needs
+            params |= st.just(b"\x00" * 8 * param_count(ModelSpec(**spec)))
+        except (TypeError, ValueError):
+            pass
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(TestCheckpoint._pack(json.dumps(spec).encode(),
+                                              data.draw(params)))
+        model = self._read(load_checkpoint, path)
+        if model is not None:
+            self._read(self._forward, model)
+
+    @FUZZ
+    @given(images=st.binary(max_size=64), labels=st.binary(max_size=32))
+    def test_idx_bytes_after_magic(self, tmp_path, images, labels):
+        ip, lp = tmp_path / "images", tmp_path / "labels"
+        ip.write_bytes(struct.pack(">I", 0x803) + images)
+        lp.write_bytes(struct.pack(">I", 0x801) + labels)
+        ds = self._read(load_idx, ip, lp)
+        assert ds is None or isinstance(ds, LabeledSet)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_config_file_bytes(self, tmp_path, raw):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(raw)
+        cfg = self._read(parse_config_file, path)
+        assert cfg is None or isinstance(cfg, dict)

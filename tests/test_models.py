@@ -27,6 +27,9 @@ class TestModelSpec:
         {"hidden_dim": 0},
         {"output_dim": 0},
         {"hidden_dim": -1},
+        {"T": 0.0}, {"T": -1.0}, {"T": float("nan")}, {"T": float("inf")},
+        {"T": "x"}, {"T": True}, {"kind": "anode", "p": True},
+        {"hidden_dim": 2.0}, {"input_dim": "1"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -67,6 +67,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"method": "ab2"}, {"rtol": 0.0}, {"atol": -1.0},
         {"rtol": float("nan")}, {"atol": float("nan")}, {"fixed_step": 0.0},
+        {"rtol": float("inf")}, {"atol": float("inf")},
+        {"fixed_step": float("inf")}, {"fixed_step": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

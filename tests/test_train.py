@@ -38,7 +38,9 @@ def fast_cfg(**kw):
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0}, {"epochs": 0}, {"weight_decay": -0.1}, {"loss": "hinge"},
-        {"batch_size": 0}, {"seed": -1},
+        {"batch_size": 0}, {"seed": -1}, {"lr": float("nan")},
+        {"lr": float("inf")}, {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -126,12 +128,38 @@ class TestFit:
         rec = fit(tiny_model(), tiny_dataset(), None, fast_cfg(epochs=1))
         assert len(rec.deterministic_rows()[0]) == 6
 
-    def test_step_limit_skips_batch(self):
+    def test_step_limit_halts_with_partial_record(self):
         cfg = TrainConfig(epochs=1, batch_size=16,
                           solver=SolverConfig(max_steps=1))
         rec = fit(tiny_model(), tiny_dataset(), None, cfg)
-        assert rec.error == "all batches skipped at epoch 0"
-        assert rec.metadata["skipped_batches"] == 2
+        assert rec.error.startswith("step limit at epoch 0 batch 0: ")
+        assert "dopri5: step limit 1 reached" in rec.error
+        assert rec.epochs == []
+        # the failing forward pass took no optimizer step
+        init = tiny_model().params.copy_values()
+        assert all(np.array_equal(rec.final_params[k], v) for k, v in init.items())
+
+    @pytest.mark.parametrize("exc, what", [
+        (StepLimitError("dopri5: step limit 7 reached", 7), "step limit"),
+        (DivergenceError("dopri5: non-finite state"), "divergence")],
+        ids=["step limit", "divergence"])
+    def test_validation_failure_halts_with_partial_record(self, monkeypatch,
+                                                          exc, what):
+        real_evaluate = trn.evaluate
+        calls = []
+
+        def fail_at_epoch_1(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise exc
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(trn, "evaluate", fail_at_epoch_1)
+        rec = fit(tiny_model(), tiny_dataset(), tiny_dataset(16, seed=1),
+                  fast_cfg(epochs=3))
+        assert rec.error == f"{what} at epoch 1 validation: {exc}"
+        assert len(rec.epochs) == 1 and rec.epochs[0].val_loss is not None
+        assert rec.final_params is not None
 
     def test_non_finite_gradient_halts_with_partial_record(self, monkeypatch):
         real_backward = trn.backward
@@ -308,7 +336,9 @@ class TestGridSearch:
                            batch_size=16)
         [res] = grid_search({"hidden": [4]}, self._build, tiny_dataset(20),
                             epochs=1, cv_folds=2, base_cfg=base)
-        assert res.error == f"fold 0: {exc}" and res.fold_losses == []
+        what = "step limit" if isinstance(exc, StepLimitError) else "divergence"
+        assert res.error == f"fold 0: {what} at epoch 0 validation: {exc}"
+        assert res.fold_losses == []
 
     def test_program_error_propagates(self):
         def build(cell, seed):
