@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import struct
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -78,18 +79,20 @@ def load_checkpoint(path) -> mdl.Model:
     off = 16 + spec_len
     try:  # undecodable bytes, bad JSON, unknown keys and invalid values
         spec = mdl.ModelSpec(**json.loads(raw[16:off].decode()))
-        model = mdl.Model(spec, seed=0)
     except (TypeError, ValueError) as exc:
         raise OSError(f"{path}: malformed model spec: {exc}") from None
-    for name, t in model.params.items():
-        n = t.size
-        if len(raw) < off + 8 * n:
+    end = off  # the file must hold every parameter before any is allocated
+    for name, shape in mdl.param_shapes(spec):
+        end += 8 * math.prod(shape)
+        if len(raw) < end:
             raise OSError(f"{path}: truncated parameter data at {name!r}")
-        vals = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
-        t.data[...] = vals.reshape(t.shape)
-        off += 8 * n
-    if len(raw) != off:
-        raise OSError(f"{path}: {len(raw) - off} bytes after the parameters")
+    if len(raw) != end:
+        raise OSError(f"{path}: {len(raw) - end} bytes after the parameters")
+    model = mdl.Model(spec, seed=0)
+    for _, t in model.params.items():
+        t.data[...] = np.frombuffer(raw, dtype="<f8", count=t.size,
+                                    offset=off).reshape(t.shape)
+        off += 8 * t.size
     return model
 
 
@@ -159,7 +162,7 @@ def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
     dim = snap.states.shape[2]
     header = "point_id,label,time," + ",".join(f"s{i}" for i in range(dim))
     write_csv(path, header, [[i, snap.labels[i], t, *snap.states[i, j]]
-                             for i in snap.point_ids
+                             for i in range(len(snap.states))
                              for j, t in enumerate(snap.times)])
 
 
@@ -214,15 +217,16 @@ def plan_toy(cfg: dict) -> Step:
 
     def step(run: Run) -> None:
         record = run.fit(kind, model, dataset)
+        if record.error is not None:  # no solve with a blown-up model
+            return
         snap = mdl.flow_trajectory(model, dataset.inputs[:20], 25,
                                    run.solver, dataset.targets[:20])
         write_flow_csv(run.out / f"{kind}_flow.csv", snap)
         if run.svg:
             svg.trajectory_plot(run.out / f"{kind}_flow.svg", snap.states,
                                 snap.labels, title="flow trajectories")
-        if record.error is None:
-            print(f"final train loss {record.epochs[-1].train_loss:.6g} "
-                  f"(artifacts in {run.out})")
+        print(f"final train loss {record.epochs[-1].train_loss:.6g} "
+              f"(artifacts in {run.out})")
     return step
 
 
@@ -272,6 +276,8 @@ def plan_generalization(cfg: dict) -> Step:
     def step(run: Run) -> None:
         for kind, model in models.items():
             record = run.fit(kind, model, train_set, val_set)
+            if record.error is not None:  # no solve with a blown-up model
+                continue
             with no_grad():
                 preds = np.concatenate(
                     [mdl.node_forward(model, Tensor(grid[i:i + 500]),
@@ -279,8 +285,7 @@ def plan_generalization(cfg: dict) -> Step:
                      for i in range(0, len(grid), 500)])
             write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
                       [(g[0], g[1], p) for g, p in zip(grid, preds)])
-            if record.error is None:
-                print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
+            print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
         if not run.failures:
             print(f"artifacts in {run.out}")
     return step

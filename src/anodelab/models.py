@@ -8,8 +8,9 @@ integral with a fixed number of h <- h + f_t(h) updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +66,6 @@ class ModelSpec:
 
 @dataclass
 class FlowSnapshot:
-    point_ids: list[int]
     times: list[float]
     states: np.ndarray          # (n_points, n_times, state_dim)
     labels: np.ndarray
@@ -85,80 +85,81 @@ def augment(x: Tensor, p: int) -> Tensor:
     return tg.concat([x, zeros], axis=-1)
 
 
-def _init_linear(params: ParamSet, rng, name: str, fan_in: int,
-                 fan_out: int) -> tuple[Tensor, Tensor]:
-    bound = 1.0 / np.sqrt(fan_in)
-    w = params.add(f"{name}.w", rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = params.add(f"{name}.b", np.zeros(fan_out))
-    return w, b
+def _linear(name: str, n_in: int, n_out: int) -> Iterator[tuple[str, tuple]]:
+    yield f"{name}.w", (n_in, n_out)
+    yield f"{name}.b", (n_out,)
 
 
-def _init_conv(params: ParamSet, rng, name: str, out_c: int, in_c: int, k: int):
-    fan_in = in_c * k * k
-    bound = 1.0 / np.sqrt(fan_in)
-    params.add(f"{name}.w", rng.uniform(-bound, bound, size=(out_c, in_c, k, k)))
-    params.add(f"{name}.b", np.zeros(out_c))
+def _mlp(prefix: str, widths: tuple[int, int, int, int]) -> Iterator[tuple[str, tuple]]:
+    """Three layers through ``widths``, named {prefix}.l1..l3."""
+    for i in range(3):
+        yield from _linear(f"{prefix}.l{i + 1}", widths[i], widths[i + 1])
 
 
-def _init_mlp(params: ParamSet, rng, prefix: str, in_dim: int, hidden: int,
-              out_dim: int) -> list[tuple[Tensor, Tensor]]:
-    """Layers in_dim -> hidden -> hidden -> out_dim named {prefix}.l1..l3."""
-    widths = (in_dim, hidden, hidden, out_dim)
-    return [_init_linear(params, rng, f"{prefix}.l{i + 1}", widths[i], widths[i + 1])
-            for i in range(3)]
+def param_shapes(spec: ModelSpec) -> Iterator[tuple[str, tuple]]:
+    """(name, shape) of each parameter of ``spec`` in declaration order: the
+    order of the init draws and of the values in a checkpoint.  A generator,
+    so a reader can stop at the first parameter a file cannot hold."""
+    d, h = spec.state_dim, spec.hidden_dim
+    if spec.kind == "resnet":
+        for i in range(spec.resnet_layers):
+            yield from _mlp(f"res.{i}", (d, h, h, d))
+    elif spec.conv:  # (out, in + time channel, k, k) kernels
+        for i, (n_out, n_in, k) in enumerate(((h, d, 1), (h, h, 3), (d, h, 1))):
+            yield f"dyn.c{i + 1}.w", (n_out, n_in + 1, k, k)
+            yield f"dyn.c{i + 1}.b", (n_out,)
+    else:
+        yield from _mlp("dyn", (d + 1, h, h, d))
+    if spec.head == "affine":
+        yield from _linear("head", d, spec.output_dim)
 
 
+def _add_params(params: ParamSet, rng,
+                shapes: Iterable[tuple[str, tuple]]) -> list[tuple[Tensor, Tensor]]:
+    """Add each (name, shape) to ``params`` and return the (weight, bias)
+    pairs.  Biases are zero; weights are uniform in +-1/sqrt(fan_in), where
+    fan_in is shape[0] of an (in, out) matrix and prod(shape[1:]) of a conv
+    kernel."""
+    added = []
+    for name, shape in shapes:
+        if len(shape) == 1:
+            added.append(params.add(name, np.zeros(shape)))
+            continue
+        bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else math.prod(shape[1:]))
+        added.append(params.add(name, rng.uniform(-bound, bound, size=shape)))
+    return list(zip(added[::2], added[1::2]))
+
+
+@dataclass(eq=False)
 class MlpDynamics:
     """MLP dynamics d+1 -> hidden -> hidden -> d; the +1 input is the time t,
     appended to the state before the first layer."""
 
-    def __init__(self, params: ParamSet, dim: int, hidden: int, prefix: str = "dyn"):
-        self.params = params
-        self.dim = dim
-        self.prefix = prefix
-        self.layers = [(params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
-                       for i in (1, 2, 3)]
+    layers: list[tuple[Tensor, Tensor]]
 
     @staticmethod
     def init(params: ParamSet, rng, dim: int, hidden: int, prefix: str = "dyn"):
-        _init_mlp(params, rng, prefix, dim + 1, hidden, dim)
-        return MlpDynamics(params, dim, hidden, prefix)
+        shapes = _mlp(prefix, (dim + 1, hidden, hidden, dim))
+        return MlpDynamics(_add_params(params, rng, shapes))
 
     def eval(self, h: Tensor, t: float) -> Tensor:
         return tg.mlp(h, t, self.layers)
 
 
+@dataclass(eq=False)
 class ConvDynamics:
     """1x1 -> ReLU -> 3x3 -> ReLU -> 1x1 conv block on (B, C, H, W) states;
     t is appended as an extra constant channel before each convolution."""
 
-    def __init__(self, params: ParamSet, channels: int, filters: int,
-                 prefix: str = "dyn"):
-        self.params = params
-        self.channels = channels
-        self.prefix = prefix
-
-    @staticmethod
-    def init(params: ParamSet, rng, channels: int, filters: int, prefix: str = "dyn"):
-        _init_conv(params, rng, f"{prefix}.c1", filters, channels + 1, 1)
-        _init_conv(params, rng, f"{prefix}.c2", filters, filters + 1, 3)
-        _init_conv(params, rng, f"{prefix}.c3", channels, filters + 1, 1)
-        return ConvDynamics(params, channels, filters, prefix)
-
-    def _with_t(self, h: Tensor, t: float) -> Tensor:
-        tchan = Tensor(np.full((h.shape[0], 1) + h.shape[2:], t))
-        return tg.concat([h, tchan], axis=1)
+    layers: list[tuple[Tensor, Tensor]]
 
     def eval(self, h: Tensor, t: float) -> Tensor:
-        p = self.params
-        z = tg.conv2d(self._with_t(h, t), p[f"{self.prefix}.c1.w"],
-                      p[f"{self.prefix}.c1.b"], padding=0)
-        z = tg.relu(z)
-        z = tg.conv2d(self._with_t(z, t), p[f"{self.prefix}.c2.w"],
-                      p[f"{self.prefix}.c2.b"], padding=1)
-        z = tg.relu(z)
-        return tg.conv2d(self._with_t(z, t), p[f"{self.prefix}.c3.w"],
-                         p[f"{self.prefix}.c3.b"], padding=0)
+        for i, (w, b) in enumerate(self.layers):
+            tchan = Tensor(np.full((h.shape[0], 1) + h.shape[2:], t))
+            h = tg.conv2d(tg.concat([h, tchan], axis=1), w, b, padding=i % 2)
+            if i < 2:
+                h = tg.relu(h)
+        return h
 
 
 class Model:
@@ -170,21 +171,20 @@ class Model:
     def __init__(self, spec: ModelSpec, seed: int = 0):
         self.spec = spec
         self.params = ParamSet()
-        rng = np.random.default_rng(seed)
-        d = spec.state_dim
+        layers = _add_params(self.params, np.random.default_rng(seed),
+                             param_shapes(spec))
+        self.dynamics = None
         if spec.kind == "resnet":
-            self.layers = [_init_mlp(self.params, rng, f"res.{i}", d, spec.hidden_dim, d)
-                           for i in range(spec.resnet_layers)]
-            self.dynamics = None
+            self.layers = [layers[3 * i:3 * i + 3] for i in range(spec.resnet_layers)]
         elif spec.conv:
-            self.dynamics = ConvDynamics.init(self.params, rng, d, spec.hidden_dim)
+            self.dynamics = ConvDynamics(layers[:3])
         else:
-            self.dynamics = MlpDynamics.init(self.params, rng, d, spec.hidden_dim)
+            self.dynamics = MlpDynamics(layers[:3])
         if spec.head == "affine":
-            self._head = [_init_linear(self.params, rng, "head", d, spec.output_dim)]
+            self._head = layers[-1:]
 
     def param_count(self) -> int:
-        return self.params.num_elements()
+        return param_count(self.spec)
 
     def head(self, state: Tensor) -> Tensor:
         if self.spec.head == "identity":
@@ -194,28 +194,34 @@ class Model:
         return tg.mlp(state, None, self._head)
 
 
-def _residual_states(model: Model, x: Tensor) -> list[Tensor]:
-    """States of the resnet baseline: x, then after each h <- h + f_i(h)."""
-    states = [x]
-    for layer in model.layers:
-        states.append(states[-1] + tg.mlp(states[-1], None, layer))
-    return states
-
-
 def param_count(spec: ModelSpec) -> int:
-    return Model(spec, seed=0).param_count()
+    """Parameters of a model of ``spec``, counted without building it."""
+    return sum(math.prod(shape) for _, shape in param_shapes(spec))
+
+
+def _flow(model: Model, x: Tensor, times: list[float],
+          cfg: SolverConfig | None, per_sample: bool = False) -> tuple[list[Tensor], int]:
+    """The one solve of every forward pass: the states and the dynamics
+    evaluations spent.  The resnet baseline gives x and the state after each
+    h <- h + f_i(h), whatever ``times``; an ODE model integrates its
+    augmented input from 0 to T, sampled at ``times``."""
+    spec = model.spec
+    if spec.kind == "resnet":
+        states = [x]
+        for layer in model.layers:
+            states.append(states[-1] + tg.mlp(states[-1], None, layer))
+        return states, spec.resnet_layers
+    sol = integrate(model.dynamics, augment(x, spec.aug), 0.0, spec.T, times, cfg,
+                    per_sample=per_sample)
+    return sol.states, sol.nfe
 
 
 def node_forward(model: Model, x: Tensor,
                  cfg: SolverConfig | None = None) -> tuple[Tensor, int]:
     """Full forward pass: augment, integrate to T, affine head.  Returns the
     output and the number of dynamics evaluations spent."""
-    spec = model.spec
-    if spec.kind == "resnet":
-        return model.head(_residual_states(model, x)[-1]), spec.resnet_layers
-    h0 = augment(x, spec.aug)
-    sol = integrate(model.dynamics, h0, 0.0, spec.T, [spec.T], cfg)
-    return model.head(sol.states[-1]), sol.nfe
+    states, nfe = _flow(model, x, [model.spec.T], cfg)
+    return model.head(states[-1]), nfe
 
 
 def features(model: Model, x: Tensor,
@@ -226,13 +232,7 @@ def features(model: Model, x: Tensor,
     every input's local error to cfg's tolerances (per-sample error control).
     node_forward shares one step sequence across the batch and holds only the
     batch's RMS error to them, so for a batch its state at T may differ."""
-    spec = model.spec
-    if spec.kind == "resnet":
-        return _residual_states(model, x)[-1]
-    h0 = augment(x, spec.aug)
-    sol = integrate(model.dynamics, h0, 0.0, spec.T, [spec.T], cfg,
-                    per_sample=True)
-    return sol.states[-1]
+    return _flow(model, x, [model.spec.T], cfg, per_sample=True)[0][-1]
 
 
 def invert_features(model: Model, feat: Tensor,
@@ -259,18 +259,14 @@ def flow_trajectory(model: Model, points: np.ndarray, n_times: int,
     times = list(np.linspace(0.0, spec.T, n_times))
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     with tg.no_grad():
-        if spec.kind == "resnet":
-            # residual updates sampled at layer boundaries, rescaled to [0, T]
-            times = list(np.linspace(0.0, spec.T, spec.resnet_layers + 1))
-            states = np.stack([h.data for h in _residual_states(model, Tensor(pts))],
-                              axis=1)
-        else:
-            h0 = augment(Tensor(pts), spec.aug)
-            sol = integrate(model.dynamics, h0, 0.0, spec.T, times, cfg)
-            states = np.stack([s.data for s in sol.states], axis=1)
+        states, _ = _flow(model, Tensor(pts), times, cfg)
+    if spec.kind == "resnet":
+        # residual updates sampled at layer boundaries, rescaled to [0, T]
+        times = list(np.linspace(0.0, spec.T, spec.resnet_layers + 1))
     if labels is None:
         labels = np.zeros(len(pts))
-    return FlowSnapshot(list(range(len(pts))), times, states, np.asarray(labels))
+    return FlowSnapshot(times, np.stack([h.data for h in states], axis=1),
+                        np.asarray(labels))
 
 
 def vector_field(model: Model, grid: np.ndarray,

@@ -454,9 +454,6 @@ class ParamSet:
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
 
-    def num_elements(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()

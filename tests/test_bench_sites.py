@@ -7,6 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -24,6 +25,25 @@ def _load_tracer():
 
 
 SITES = _load_tracer().SITES
+
+
+def test_calls_outside_sites(tmp_path):
+    """bench/workloads.py and bench/tracer.py also call the package outside
+    SITES: param_count of a loaded conv checkpoint, node_forward with no
+    solver config under no_grad, and the metadata of a fit record."""
+    from anodelab import data, expcli, models, tensorgrad, train
+    spec = models.ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=2,
+                            output_dim=2, conv=True)
+    expcli.save_checkpoint(tmp_path / "m.ckpt", models.Model(spec, seed=0))
+    model = expcli.load_checkpoint(tmp_path / "m.ckpt")
+    assert model.param_count() == models.param_count(spec)
+    images = np.zeros((2, 1, 3, 3))
+    with tensorgrad.no_grad():
+        out, nfe = models.node_forward(model, tensorgrad.Tensor(images))
+    assert out.shape == (2, 2) and nfe > 0
+    record = train.fit(model, data.LabeledSet(images, np.array([0, 1])), None,
+                       train.TrainConfig(epochs=1, loss="cross_entropy"))
+    assert record.metadata.get("skipped_batches", 0) == 0
 
 
 @pytest.mark.parametrize("site", [s.site for s in SITES])

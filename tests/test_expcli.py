@@ -89,6 +89,13 @@ class TestCheckpoint:
         "anode p bool": (lambda s, p: TestCheckpoint._pack(
             json.dumps({**s, "kind": "anode", "p": True}).encode(), p),
             "malformed model spec"),
+        # the file length is checked against the spec before any allocation
+        "hidden_dim 2**32": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "hidden_dim": 2**32}).encode(), p[:8]),
+            "truncated parameter data at 'dyn.l1.w'"),
+        "resnet_layers 10**9": (lambda s, p: TestCheckpoint._pack(
+            json.dumps({**s, "kind": "resnet", "resnet_layers": 10**9}).encode(),
+            p[:8]), "truncated parameter data at 'res.0.l1.w'"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -286,6 +293,34 @@ class TestGeneralizationCommand:
                 cli.trn.TrainRecord.CSV_HEADER]
             assert (out / f"{kind}.ckpt").exists()
 
+    def test_training_failure_reported_when_heat_grid_fails(self, tmp_path,
+                                                            monkeypatch, capsys):
+        """node's fit fails, so its heat grid is skipped; anode's heat grid
+        then raises, and node's training failure still reaches stderr."""
+        fit = cli.trn.fit
+
+        def node_fit_fails(model, *args, **kwargs):
+            record = fit(model, *args, **kwargs)
+            if model.spec.kind == "node":
+                record.error = "divergence at epoch 0 batch 0: forced"
+            return record
+
+        def failing_forward(*args):
+            raise StepLimitError("dopri5: step limit 7 reached", 7)
+
+        monkeypatch.setattr(cli.trn, "fit", node_fit_fails)
+        monkeypatch.setattr(cli.mdl, "node_forward", failing_forward)
+        out = tmp_path / "gen"
+        assert run(["generalization", "--epochs", "1", "--hidden", "1",
+                    "--batch", "3000", "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "node: training failed: divergence at epoch 0 batch 0: forced" in err
+        assert "solver failure: dopri5: step limit 7 reached" in err
+        assert "anode: training failed" not in err
+        for kind in ("node", "anode"):
+            assert (out / f"{kind}_train.csv").exists()
+            assert not (out / f"{kind}_heatgrid.csv").exists()
+
 
 class TestMnistMiniCommand:
     def test_missing_data_exit_4_with_instructions(self, tmp_path, capsys):
@@ -436,10 +471,10 @@ class TestSolverFailure:
                     "--n-times", "3", "--out", str(tmp_path / "flows")]) == EXIT_TRAINING
         assert f"solver failure: dopri5: {message}" in capsys.readouterr().err
 
-    def test_training_failure_reported_when_flow_export_fails(
-            self, tmp_path, monkeypatch, capsys):
-        """The blown-up model fails its flow export too; the training failure
-        still reaches stderr, and the partial artifacts are written."""
+    def test_training_failure_skips_flow_export(self, tmp_path, monkeypatch,
+                                                capsys):
+        """The blown-up model is not solved again: the training failure is
+        reported, the partial artifacts are written, and no flow is exported."""
         monkeypatch.setattr(cli, "SolverConfig",
                             functools.partial(SolverConfig, max_steps=30))
         out = tmp_path / "toy"
@@ -447,8 +482,9 @@ class TestSolverFailure:
                     "--epochs", "1", "--out", str(out)]) == EXIT_TRAINING
         err = capsys.readouterr().err
         assert "node: training failed: step limit at epoch 0 batch" in err
-        assert "solver failure: dopri5: step limit 30 reached" in err
+        assert "solver failure:" not in err
         assert (out / "node_train.csv").exists() and (out / "node.ckpt").exists()
+        assert not (out / "node_flow.csv").exists()
 
 
 # every int config key of every command, set to 0 and to -1; key None is the
@@ -536,9 +572,11 @@ class TestManifestFirst:
         assert code == EXIT_OK or (code == EXIT_CONFIG and not out.exists())
 
 
-# A spec value of each JSON type.  Sizes stay small: a spec is built into a
-# model before the parameter bytes are checked against it.
-SPEC_VALUES = st.one_of(st.integers(-2, 64), st.floats(), st.booleans(),
+# A spec value of each JSON type, huge sizes included: load_checkpoint checks
+# the parameter bytes against the spec before it allocates anything.
+SPEC_VALUES = st.one_of(st.integers(-2, 64),
+                        st.sampled_from([2**31, 2**32, 2**63, 10**12]),
+                        st.floats(), st.booleans(),
                         st.sampled_from(["node", "anode", "resnet", "identity"]),
                         st.text(max_size=4), st.none())
 FUZZ = settings(max_examples=60, deadline=None,
@@ -578,10 +616,13 @@ class TestReaderFuzz:
     def test_checkpoint_spec_values(self, tmp_path, spec, data):
         """A loaded model must also run: its spec is checked, not just parsed."""
         params = st.binary(max_size=64)
-        try:  # or zero parameters of the size a file with this spec needs
-            params |= st.just(b"\x00" * 8 * param_count(ModelSpec(**spec)))
-        except (TypeError, ValueError):
-            pass
+        # or zero parameters of the size a file with this spec needs, if
+        # that fits in memory
+        if all(v <= 64 for v in spec.values() if type(v) is int):
+            try:
+                params |= st.just(b"\x00" * 8 * param_count(ModelSpec(**spec)))
+            except (TypeError, ValueError):
+                pass
         path = tmp_path / "fuzz.ckpt"
         path.write_bytes(TestCheckpoint._pack(json.dumps(spec).encode(),
                                               data.draw(params)))

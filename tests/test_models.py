@@ -11,7 +11,7 @@ from anodelab import tensorgrad as tg
 from anodelab.models import (Model, ModelSpec, augment, features,
                              flow_trajectory, invert_features,
                              match_conv_filters, node_forward, param_count,
-                             vector_field)
+                             param_shapes, vector_field)
 from anodelab.odeint import SolverConfig
 from anodelab.tensorgrad import Tensor
 
@@ -102,6 +102,30 @@ class TestParamCount:
                                      input_dim=1, hidden_dim=8))
         per_layer = (1 * 8 + 8) + (8 * 8 + 8) + (8 * 1 + 1)
         assert five - two == 3 * per_layer
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="node", input_dim=2, hidden_dim=5),
+        ModelSpec(kind="anode", input_dim=1, p=2, hidden_dim=3, output_dim=2),
+        ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=4, head="identity",
+                  output_dim=2),
+        ModelSpec(kind="resnet", resnet_layers=3, input_dim=2, hidden_dim=4),
+        ModelSpec(kind="anode", input_dim=1, p=2, hidden_dim=6, output_dim=2,
+                  conv=True)], ids=["node", "anode", "identity", "resnet", "conv"])
+    def test_model_follows_param_shapes(self, spec):
+        m = Model(spec, seed=0)
+        assert [(n, t.shape) for n, t in m.params.items()] == list(param_shapes(spec))
+        assert sum(t.size for _, t in m.params.items()) == m.param_count()
+
+    def test_counted_without_building_a_model(self, monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a Model was built")
+
+        monkeypatch.setattr(Model, "__init__", no_model)
+        assert param_count(ModelSpec(kind="anode", input_dim=2, p=3,
+                                     hidden_dim=8, output_dim=2)) == 185
+        assert param_count(ModelSpec(kind="node", input_dim=6, hidden_dim=42,
+                                     output_dim=2, conv=True)) == 16910
+        assert match_conv_filters(6, 1, 32, 2) == (42, 43)
 
 
 class TestForward:
@@ -209,7 +233,6 @@ class TestTrajectoriesAndField:
         snap = flow_trajectory(m, np.zeros((6, 2)), 5)
         assert snap.states.shape == (6, 5, 3)
         assert snap.times[0] == 0.0 and snap.times[-1] == m.spec.T
-        assert snap.point_ids == list(range(6))
 
     def test_flow_trajectory_resnet_layer_boundaries(self):
         m = Model(ModelSpec(kind="resnet", resnet_layers=4, input_dim=2,

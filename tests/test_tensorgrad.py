@@ -360,7 +360,6 @@ class TestParamSet:
         p = ParamSet()
         p.add("a", np.ones((2, 3)))
         p.add("b", np.zeros(4))
-        assert p.num_elements() == 10
         saved = p.copy_values()
         p["a"].data[...] = 7.0
         assert np.all(saved["a"] == 1.0)
