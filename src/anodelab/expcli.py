@@ -169,11 +169,11 @@ def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
 @dataclass
 class Run:
     """Where and how a planned step writes: the output directory, --svg,
-    the solver and training configs, and the training failures so far."""
+    the training config (with its solver config), and the training failures
+    so far."""
 
     out: Path
     svg: bool
-    solver: SolverConfig
     train: trn.TrainConfig
     failures: list[str] = field(default_factory=list)
 
@@ -220,7 +220,7 @@ def plan_toy(cfg: dict) -> Step:
         if record.error is not None:  # no solve with a blown-up model
             return
         snap = mdl.flow_trajectory(model, dataset.inputs[:20], 25,
-                                   run.solver, dataset.targets[:20])
+                                   run.train.solver, dataset.targets[:20])
         write_flow_csv(run.out / f"{kind}_flow.csv", snap)
         if run.svg:
             svg.trajectory_plot(run.out / f"{kind}_flow.svg", snap.states,
@@ -244,7 +244,7 @@ def plan_nfe(cfg: dict) -> Step:
         def snapshot(epoch, m):
             if epoch % every == 0:
                 with no_grad():
-                    feats = mdl.features(m, Tensor(probe), run.solver).data
+                    feats = mdl.features(m, Tensor(probe), run.train.solver).data
                 header = ",".join(f"s{i}" for i in range(feats.shape[1]))
                 write_csv(run.out / f"features_epoch{epoch:03d}.csv", header, feats)
 
@@ -281,7 +281,7 @@ def plan_generalization(cfg: dict) -> Step:
             with no_grad():
                 preds = np.concatenate(
                     [mdl.node_forward(model, Tensor(grid[i:i + 500]),
-                                      run.solver)[0].data.reshape(-1)
+                                      run.train.solver)[0].data.reshape(-1)
                      for i in range(0, len(grid), 500)])
             write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
                       [(g[0], g[1], p) for g, p in zip(grid, preds)])
@@ -399,7 +399,7 @@ def plan_export_flows(cfg: dict) -> Step:
             -1.5, 1.5, size=(n_points, d))
 
     def step(run: Run) -> None:
-        snap = mdl.flow_trajectory(model, points, n_times, run.solver)
+        snap = mdl.flow_trajectory(model, points, n_times, run.train.solver)
         write_flow_csv(run.out / "flow.csv", snap)
         if model.spec.kind != "resnet":
             sd = model.spec.state_dim
@@ -505,8 +505,11 @@ def run_command(name: str, args: argparse.Namespace) -> int:
     solver = SolverConfig(rtol=cfg["solver_rtol"], atol=cfg["solver_atol"])
     train = trn.TrainConfig(solver=solver, **{
         f: cfg[k] for k, f in TRAIN_FIELDS.items() if k in cfg})
-    step = cmd.plan(cfg)
-    run = Run(Path(cfg["out"]), args.svg, solver, train)
+    try:
+        step = cmd.plan(cfg)
+    except MemoryError as exc:
+        raise ConfigError(f"the planned run does not fit in memory ({exc})") from exc
+    run = Run(Path(cfg["out"]), args.svg, train)
     write_manifest(run.out, name, cfg, [cfg["seed"]])
     try:  # a training failure is reported even if a later solve raises
         step(run)

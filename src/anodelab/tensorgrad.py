@@ -135,14 +135,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _out(data: np.ndarray, backward_fn) -> Tensor:
     t = Tensor._wrap(data)
@@ -180,44 +172,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _out(a.data + b.data, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_bcast("sub", a, b)
-
-    def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _out(a.data - b.data, bwd)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return smul(a, float(b))
-    _check_bcast("mul", a, b)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return ((a, _unbroadcast(g * bd, a.shape)), (b, _unbroadcast(g * ad, b.shape)))
-
-    return _out(ad * bd, bwd)
-
-
-def smul(a: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        return ((a, g * c),)
-
-    return _out(a.data * c, bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
 
     def bwd(g):
-        if bd.ndim == 1:
-            return ((a, np.outer(g, bd)), (b, ad.T @ g))
         return ((a, g @ bd.T), (b, ad.T @ g))
 
     return _out(ad @ bd, bwd)
@@ -303,30 +265,12 @@ def mlp(x: Tensor, t: float | None,
     return _out(out, bwd)
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    def bwd(g):
-        if axis is None:
-            return ((a, np.full(a.shape, float(g))),)
-        return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()),)
-
-    return _out(np.sum(a.data, axis=axis), bwd)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
+def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
+    """Mean over a tuple of axes, which are dropped from the shape."""
+    n = math.prod(a.shape[ax] for ax in axis)
 
     def bwd(g):
-        if axis is None:
-            return ((a, np.full(a.shape, float(g) / n)),)
-        ge = g
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(axes):
-            ge = np.expand_dims(ge, ax)
-        return ((a, np.broadcast_to(ge, a.shape) / n),)
+        return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n),)
 
     return _out(np.mean(a.data, axis=axis), bwd)
 
@@ -350,10 +294,10 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     return _out(acc, bwd)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
-    """2-D correlation, stride 1, padding in {0, 1}.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
+    """2-D correlation plus bias, stride 1, padding in {0, 1}.
 
-    x: (B, C, H, W); w: (O, C, kh, kw); b: (O,) or None.
+    x: (B, C, H, W); w: (O, C, kh, kw); b: (O,).
     """
     if padding not in (0, 1):
         raise ShapeError(f"conv2d: padding {padding} unsupported (need 0 or 1)")
@@ -361,17 +305,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         raise ShapeError(f"conv2d: need 4-d input and weight, got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch between {x.shape} and {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"conv2d: bias {b.shape} does not match filters {w.shape}")
     kh, kw = w.shape[2], w.shape[3]
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
     if xp.shape[2] < kh or xp.shape[3] < kw:
         raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {x.shape}")
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out = np.einsum("bcyxuv,ocuv->boyx", win, w.data, optimize=True)
-    if b is not None:
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"conv2d: bias {b.shape} does not match filters {w.shape}")
-        out = out + b.data[:, None, None]
+    out = np.einsum("bcyxuv,ocuv->boyx", win, w.data, optimize=True) + b.data[:, None, None]
 
     wd = w.data
 
@@ -380,12 +322,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
         gx = np.einsum("boyxuv,ocuv->bcyx", gwin, wd[:, :, ::-1, ::-1], optimize=True)
         gw = np.einsum("bcyxuv,boyx->ocuv", win, g, optimize=True)
-        grads = [(x, gx), (w, gw)]
-        if b is not None:
-            grads.append((b, g.sum(axis=(0, 2, 3))))
-        return tuple(grads)
+        return ((x, gx), (w, gw), (b, g.sum(axis=(0, 2, 3))))
 
     return _out(out, bwd)
+
+
+def mse(out: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean squared error of ``out`` against targets of the same size."""
+    y = np.asarray(targets, dtype=np.float64)
+    if y.size != out.size:
+        raise ShapeError(f"mse: targets of shape {y.shape} do not match {out.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("mse: targets contain non-finite entries")
+    d = out.data - y.reshape(out.shape)
+
+    def bwd(g):
+        gd = np.full(d.shape, float(g) / d.size) * d
+        return ((out, gd + gd),)
+
+    return _out(np.mean(d * d), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -447,9 +402,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()

@@ -128,9 +128,7 @@ def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
 
 def _loss_and_acc(out: Tensor, targets: np.ndarray, loss_kind: str):
     if loss_kind == "mse":
-        y = Tensor(np.asarray(targets, dtype=np.float64).reshape(out.shape))
-        diff = out - y
-        loss = tg.tmean(tg.mul(diff, diff))
+        loss = tg.mse(out, targets)
         acc = float(np.mean(np.sign(out.data.reshape(-1)) == np.sign(targets)))
     else:
         labels = np.asarray(targets, dtype=np.int64)

@@ -4,8 +4,11 @@ round trips, config precedence, and exit codes."""
 import argparse
 import functools
 import json
+import runpy
 import struct
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +163,30 @@ class TestParser:
             run(["export-flows", "--checkpoint", "m.ckpt", "--epochs", "3",
                  "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+class TestScripts:
+    def test_every_wrapper_argv_parses(self, monkeypatch):
+        """The scripts/ wrappers pass main argv lists that the parser takes."""
+        argvs = []
+
+        def record(argv):
+            argvs.append(argv)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "main", record)
+        scripts = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+        assert scripts
+        for script in scripts:
+            monkeypatch.setattr(sys, "argv", [str(script), "model.ckpt"]
+                                if script.name == "export_flows.py" else [str(script)])
+            try:
+                runpy.run_path(str(script), run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code == EXIT_OK, script.name
+        assert len(argvs) == 11
+        for argv in argvs:
+            build_parser().parse_args(argv)
 
 
 class TestToyCommand:
@@ -546,6 +573,17 @@ class TestManifestFirst:
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_plan_out_of_memory_is_config_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        def no_memory(*a, **kw):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(cli.mdl, "Model", no_memory)
+        out = tmp_path / "out"
+        assert run(["toy", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--aug", "-1"), ("--filters", "0")])

@@ -165,7 +165,7 @@ class TestForward:
     def test_identity_head_returns_state(self):
         m = Model(ModelSpec(kind="node", input_dim=1, output_dim=1,
                             hidden_dim=8, head="identity"), seed=0)
-        assert "head.w" not in m.params
+        assert "head.w" not in dict(m.params.items())
         out, _ = node_forward(m, Tensor([[0.5]]))
         feat = features(m, Tensor([[0.5]]))
         assert np.allclose(out.data, feat.data)
@@ -200,14 +200,14 @@ class TestFeaturesAndInverse:
         # input to tolerance, the batch-wide solve of node_forward does not
         class Rates:
             def __init__(self, a):
-                self.a = Tensor(a)
+                self.a = Tensor(np.diag(a))
 
             def eval(self, h, t):
-                return tg.mul(h, self.a)
+                return tg.matmul(self.a, h)
 
         m = Model(ModelSpec(kind="node", input_dim=1, output_dim=1,
                             hidden_dim=4, head="identity"), seed=0)
-        a = np.zeros((64, 1))
+        a = np.zeros(64)
         a[0] = 8.0
         m.dynamics = Rates(a)
         x = Tensor(np.ones((64, 1)))

@@ -41,19 +41,20 @@ class TestTensor:
 
 
 class TestForward:
-    def test_add_sub_mul_values(self):
+    def test_add_values(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 5.0])
         assert np.allclose((a + b).data, [4.0, 7.0])
-        assert np.allclose((a - b).data, [-2.0, -3.0])
-        assert np.allclose(tg.mul(a, b).data, [3.0, 10.0])
-        assert np.allclose((2.0 * a).data, [2.0, 4.0])
+        assert np.allclose(tg.add(a, b).data, [4.0, 7.0])
 
     def test_matmul_value_and_shape_errors(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([1.0, -1.0])
-        assert np.allclose(tg.matmul(a, v).data, [-1.0, -1.0])
+        assert np.allclose(tg.matmul(a, Tensor([[1.0], [-1.0]])).data,
+                           [[-1.0], [-1.0]])
         with pytest.raises(ShapeError):
             tg.matmul(a, Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            tg.matmul(a, v)     # a 1-d operand is not a matrix
         with pytest.raises(ShapeError):
             tg.matmul(v, v)
 
@@ -75,10 +76,10 @@ class TestForward:
 
     def test_reductions(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert tg.tsum(x).item() == 15.0
-        assert np.allclose(tg.tsum(x, axis=0).data, [3.0, 5.0, 7.0])
-        assert tg.tmean(x).item() == 2.5
-        assert np.allclose(tg.tmean(x, axis=1).data, [1.0, 4.0])
+        assert np.allclose(tg.tmean(x, axis=(1,)).data, [1.0, 4.0])
+        assert np.allclose(tg.tmean(x, axis=(0, 1)).data, 2.5)
+        pooled = tg.tmean(Tensor(np.arange(24.0).reshape(2, 3, 2, 2)), axis=(2, 3))
+        assert np.allclose(pooled.data, np.arange(1.5, 24.0, 4.0).reshape(2, 3))
 
     def test_lincomb_matches_manual_and_is_one_node(self):
         ts = [Tensor(np.full(3, float(i + 1))) for i in range(4)]
@@ -98,37 +99,40 @@ class TestForward:
 
 class TestBackward:
     def test_simple_chain(self):
-        # loss = sum((a * b + a)^2); dloss/da = 2(a*b+a)(b+1), dloss/db = 2(a*b+a)a
-        a = Tensor([1.0, -2.0], requires_grad=True)
-        b = Tensor([3.0, 0.5], requires_grad=True)
+        # loss = mean((a @ b + a)^2) over n = 4 entries; with G = 2(a@b+a)/n,
+        # dloss/da = G @ b.T + G and dloss/db = a.T @ G
+        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        b = Tensor([[3.0, 0.5], [-1.0, 2.0]], requires_grad=True)
         with CompGraph() as g:
-            z = tg.mul(a, b) + a
-            loss = tg.tsum(tg.mul(z, z))
+            z = tg.matmul(a, b) + a
+            loss = tg.mse(z, np.zeros(z.shape))
         backward(g, loss)
-        zd = a.data * b.data + a.data
-        assert np.allclose(a.grad, 2 * zd * (b.data + 1))
-        assert np.allclose(b.grad, 2 * zd * a.data)
+        G = 2 * (a.data @ b.data + a.data) / 4
+        assert np.allclose(a.grad, G @ b.data.T + G)
+        assert np.allclose(b.grad, a.data.T @ G)
 
     def test_reuse_accumulates(self):
         a = Tensor([2.0], requires_grad=True)
         with CompGraph() as g:
-            loss = tg.tsum(tg.mul(a, a) + a)  # a^2 + a -> grad 2a + 1
+            loss = tg.mse(a + a, np.zeros(1))  # (2a)^2 -> grad 8a
         backward(g, loss)
-        assert np.allclose(a.grad, [5.0])
+        assert np.allclose(a.grad, [16.0])
 
     def test_relu_grad_zero_at_kink(self):
+        # mean((relu(x) + 1)^2): grad 2(relu(x) + 1) / 3 where x > 0, else 0
         x = Tensor([-1.0, 0.0, 3.0], requires_grad=True)
         with CompGraph() as g:
-            loss = tg.tsum(tg.relu(x))
+            loss = tg.mse(tg.relu(x), np.full(3, -1.0))
         backward(g, loss)
-        assert np.allclose(x.grad, [0.0, 0.0, 1.0])
+        assert np.allclose(x.grad, [0.0, 0.0, 8.0 / 3.0])
 
     def test_bias_broadcast_unbroadcasts(self):
+        # every output is 4 and its target -3.5, so dloss/dout = 2 * 7.5 / 15 = 1
         w = Tensor(np.ones((4, 3)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         x = Tensor(np.ones((5, 4)))
         with CompGraph() as g:
-            loss = tg.tsum(tg.matmul(x, w) + b)
+            loss = tg.mse(tg.matmul(x, w) + b, np.full((5, 3), -3.5))
         backward(g, loss)
         assert b.grad.shape == (3,)
         assert np.allclose(b.grad, 5.0)
@@ -144,7 +148,7 @@ class TestBackward:
     def test_foreign_graph_rejected(self):
         a = Tensor([1.0], requires_grad=True)
         with CompGraph() as g1:
-            loss = tg.tsum(a)
+            loss = tg.mse(a, np.zeros(1))
         with CompGraph():
             pass
         other = CompGraph()
@@ -155,21 +159,21 @@ class TestBackward:
         # using y on g2 must leave its place on g1's tape intact
         a = Tensor([2.0, 3.0], requires_grad=True)
         with CompGraph() as g1:
-            y = tg.mul(a, a)
-            loss = tg.tsum(y)
+            y = a + a
+            loss = tg.mse(y, np.zeros(2))  # mean((2a)^2) -> grad 4a
         with CompGraph():
-            tg.tsum(tg.mul(y, y))
+            tg.mse(y + y, np.zeros(2))
         backward(g1, loss)
-        assert np.array_equal(a.grad, [4.0, 6.0])
+        assert np.array_equal(a.grad, [8.0, 12.0])
 
     def test_loss_reused_on_second_graph(self):
         a = Tensor([2.0, 3.0], requires_grad=True)
         with CompGraph() as g1:
-            loss = tg.tsum(tg.mul(a, a))
+            loss = tg.mse(a, np.zeros(2))  # mean(a^2) -> grad a
         with CompGraph():
-            tg.smul(loss, 2.0)
+            tg.lincomb((2.0,), (loss,))
         backward(g1, loss)
-        assert np.array_equal(a.grad, [4.0, 6.0])
+        assert np.array_equal(a.grad, [2.0, 3.0])
 
     def test_no_grad_records_nothing(self):
         a = Tensor([1.0], requires_grad=True)
@@ -186,9 +190,9 @@ class TestBackward:
         def run(w1, w2):
             a = Tensor(av, requires_grad=True)
             with CompGraph() as g:
-                f = tg.tsum(tg.mul(a, a))
-                h = tg.tsum(tg.mul(a, Tensor(bv)))
-                loss = tg.smul(f, w1) + tg.smul(h, w2)
+                f = tg.mse(a, np.zeros(3))
+                h = tg.mse(a, bv)
+                loss = tg.lincomb((w1, w2), (f, h))
             backward(g, loss)
             return a.grad.copy()
 
@@ -222,13 +226,13 @@ class TestConv2d:
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
+        b = Tensor(np.zeros(3))
         with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 5, 1, 1))))     # channel mismatch
+            tg.conv2d(x, Tensor(np.zeros((3, 5, 1, 1))), b)  # channel mismatch
         with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), padding=2)
+            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), b, padding=2)
         with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))),
-                      b=Tensor(np.zeros(5)))
+            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), Tensor(np.zeros(5)))
 
     def test_gradients_numerically(self):
         rng = np.random.default_rng(1)
@@ -239,7 +243,7 @@ class TestConv2d:
 
         def loss_fn():
             out = tg.conv2d(Tensor(x), params["w"], params["b"], padding=1)
-            return tg.tsum(tg.mul(out, out))
+            return tg.mse(out, np.zeros(out.shape))
 
         assert grad_check(loss_fn, params) < 1e-6
 
@@ -281,7 +285,7 @@ class TestMlp:
             with CompGraph() as g:
                 h = fn(x, t, layers)
                 y = fn(h, None if t is None else t + 0.25, layers)
-                loss = tg.tsum(tg.mul(y, y + h))
+                loss = tg.mse(y + h, np.zeros(y.shape))
             backward(g, loss)
             return y.data, x.grad, [p.grad for _, p in params.items()]
 
@@ -299,7 +303,7 @@ class TestMlp:
 
         def loss_fn():
             out = tg.mlp(Tensor(x), 0.6, layers)
-            return tg.tmean(tg.mul(out, out))
+            return tg.mse(out, np.zeros(out.shape))
 
         assert grad_check(loss_fn, params) < 1e-6
 
@@ -324,6 +328,38 @@ class TestMlp:
         with CompGraph() as g:
             dyn.eval(h, 0.5)
         assert len(g) == 1
+
+
+class TestMse:
+    def test_value_matches_numpy(self):
+        rng = np.random.default_rng(4)
+        o, y = rng.standard_normal((7, 2)), rng.standard_normal(14)
+        d = o - y.reshape(7, 2)
+        assert tg.mse(Tensor(o), y).item() == np.mean(d * d)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(6)
+        params = ParamSet()
+        params.add("w", rng.standard_normal((3, 2)) * 0.5)
+        x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+
+        def loss_fn():
+            return tg.mse(tg.matmul(Tensor(x), params["w"]), y)
+
+        assert grad_check(loss_fn, params) < 1e-6
+
+    def test_one_tape_node(self):
+        out = Tensor(np.ones((4, 1)), requires_grad=True)
+        with CompGraph() as g:
+            loss = tg.mse(out + out, np.zeros(4))
+        assert len(g) == 2 and loss._id == 1
+
+    def test_bad_targets(self):
+        out = Tensor(np.ones((4, 1)))
+        with pytest.raises(ShapeError):
+            tg.mse(out, np.zeros(5))
+        with pytest.raises(ValueError, match="non-finite"):
+            tg.mse(out, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
 class TestSoftmaxCrossEntropy:
@@ -384,7 +420,7 @@ class TestGradCheck:
         def loss_fn():
             h = tg.relu(tg.matmul(Tensor(x), params["w1"]) + params["b1"])
             out = tg.matmul(h, params["w2"])
-            return tg.tmean(tg.mul(out, out))
+            return tg.mse(out, np.zeros(out.shape))
 
         assert grad_check(loss_fn, params) < 1e-6
 

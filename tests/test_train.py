@@ -215,6 +215,26 @@ class TestFit:
         assert rec.metadata.get("nfe_is_layer_count")
         assert rec.epochs[0].nfe_forward_mean == 3.0
 
+    def test_mse_loss_adds_one_tape_node(self, monkeypatch):
+        """Each step's tape is the forward pass plus one loss node."""
+        real_forward, real_backward = trn.node_forward, trn.backward
+        forward_len, backward_len = [], []
+
+        def forward(*args):
+            res = real_forward(*args)
+            forward_len.append(len(tg.active_graph()))
+            return res
+
+        def bwd(graph, loss):
+            backward_len.append(len(graph))
+            real_backward(graph, loss)
+
+        monkeypatch.setattr(trn, "node_forward", forward)
+        monkeypatch.setattr(trn, "backward", bwd)
+        fit(tiny_model(), tiny_dataset(), None, fast_cfg(epochs=1, batch_size=8))
+        assert len(backward_len) == 4
+        assert backward_len == [n + 1 for n in forward_len]
+
     def test_tapes_released_without_cyclic_gc(self, monkeypatch):
         """Each batch's tape is freed by reference counting alone, and no
         parameter keeps a graph alive."""
