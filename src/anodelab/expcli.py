@@ -44,14 +44,23 @@ class ConfigError(ValueError):
 
 
 def write_csv(path, header: str, rows) -> None:
-    """The one CSV writer of every artifact: an int or str cell is written
-    with str, None as an empty cell, and any other value as a float in .9g."""
+    """The one CSV writer of every artifact: an int or str cell (bool
+    included) is written with str, None as an empty cell, and any other
+    value as a float in .9g, byte for byte format(float(c), ".9g").  Rows
+    are drawn and written one at a time, each through one % template built
+    once per tuple of cell types."""
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else
-                              "" if c is None else format(float(c), ".9g")
-                              for c in row) + "\n")
+            row = tuple(row)
+            key = tuple(map(type, row))
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = ",".join(
+                    "%s" if issubclass(t, (int, str)) else
+                    "%.0s" if t is type(None) else "%.9g" for t in key) + "\n"
+            fh.write(template % row)
 
 
 def save_checkpoint(path, model: mdl.Model) -> None:
@@ -149,8 +158,8 @@ def write_manifest(out_dir: Path, name: str, cfg: dict, seeds: list[int]) -> dic
 def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
                       want_svg: bool) -> None:
     write_csv(out_dir / f"{stem}_train.csv", trn.TrainRecord.CSV_HEADER,
-              [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
-                e.nfe_forward_mean, e.wall_ms) for e in record.epochs])
+              ((e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
+                e.nfe_forward_mean, e.wall_ms) for e in record.epochs))
     if want_svg:
         ep = record.metric("epoch")
         svg.line_plot(out_dir / f"{stem}_loss.svg",
@@ -161,9 +170,11 @@ def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
 def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
     dim = snap.states.shape[2]
     header = "point_id,label,time," + ",".join(f"s{i}" for i in range(dim))
-    write_csv(path, header, [[i, snap.labels[i], t, *snap.states[i, j]]
-                             for i in range(len(snap.states))
-                             for j, t in enumerate(snap.times)])
+    times = np.asarray(snap.times, dtype=float).tolist()
+    labels = np.asarray(snap.labels, dtype=float).tolist()
+    write_csv(path, header, ((i, label, t, *state)
+                             for i, label in enumerate(labels)
+                             for t, state in zip(times, snap.states[i].tolist())))
 
 
 @dataclass
@@ -191,14 +202,22 @@ class Run:
 Step = Callable[[Run], None]
 
 
+# ModelSpec field -> the flag of the toy, nfe and generalization commands
+SPEC_FLAGS = {"hidden_dim": "--hidden", "p": "--aug", "resnet_layers": "--layers"}
+
+
 def _toy_model(cfg: dict, kind: str, dim: int) -> mdl.Model:
     # 1-d node/resnet train the bare flow (the crossing obstruction is the
     # point of the task); everything else uses the affine head
     head = "identity" if dim == 1 and kind != "anode" else "affine"
-    spec = mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=cfg["hidden"],
-                         p=cfg["aug"] if kind == "anode" else 0,
-                         output_dim=1, head=head,
-                         resnet_layers=cfg["layers"] if kind == "resnet" else 0)
+    try:
+        spec = mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=cfg["hidden"],
+                             p=cfg["aug"] if kind == "anode" else 0,
+                             output_dim=1, head=head,
+                             resnet_layers=cfg["layers"] if kind == "resnet" else 0)
+    except ValueError as exc:  # the spec's range errors start with the field
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{SPEC_FLAGS.get(name, name)} {rest}") from None
     return mdl.Model(spec, seed=cfg["seed"])
 
 
@@ -246,13 +265,14 @@ def plan_nfe(cfg: dict) -> Step:
                 with no_grad():
                     feats = mdl.features(m, Tensor(probe), run.train.solver).data
                 header = ",".join(f"s{i}" for i in range(feats.shape[1]))
-                write_csv(run.out / f"features_epoch{epoch:03d}.csv", header, feats)
+                write_csv(run.out / f"features_epoch{epoch:03d}.csv", header,
+                          feats.tolist())
 
         record = run.fit(kind, model, dataset, epoch_callback=snapshot)
         write_csv(run.out / "nfe_vs_epoch.csv", "epoch,nfe_forward_mean",
-                  [(e.epoch, e.nfe_forward_mean) for e in record.epochs])
+                  ((e.epoch, e.nfe_forward_mean) for e in record.epochs))
         write_csv(run.out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
-                  [(e.nfe_forward_mean, e.train_loss) for e in record.epochs])
+                  ((e.nfe_forward_mean, e.train_loss) for e in record.epochs))
         if run.svg:
             svg.line_plot(run.out / "nfe.svg",
                           {"nfe": (record.metric("epoch"),
@@ -284,7 +304,7 @@ def plan_generalization(cfg: dict) -> Step:
                                       run.train.solver)[0].data.reshape(-1)
                      for i in range(0, len(grid), 500)])
             write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
-                      [(g[0], g[1], p) for g, p in zip(grid, preds)])
+                      ((*g, p) for g, p in zip(grid.tolist(), preds.tolist())))
             print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
         if not run.failures:
             print(f"artifacts in {run.out}")
@@ -366,15 +386,14 @@ def plan_sweep(cfg: dict) -> Step:
             grid, lambda cell, seed: mdl.Model(spec(cell), seed=seed), dataset,
             epochs=run.train.epochs, cv_folds=folds, base_cfg=run.train)
         keys = sorted({k for r in results for k in r.cell})
-        rows = [[*(r.cell.get(k, "") for k in keys), fold, loss]
-                for r in results for fold, loss in enumerate(r.fold_losses)]
         write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
-                  rows)
+                  ((*(r.cell.get(k, "") for k in keys), fold, loss)
+                   for r in results for fold, loss in enumerate(r.fold_losses)))
         write_csv(run.out / "sweep_summary.csv",
                   ",".join(keys) + ",mean_val_loss,error",
-                  [[*(r.cell.get(k, "") for k in keys),
-                    r.mean_val_loss if r.fold_losses else None, r.error]
-                   for r in results])
+                  ((*(r.cell.get(k, "") for k in keys),
+                    r.mean_val_loss if r.fold_losses else None, r.error)
+                   for r in results))
         best = results[0]
         print(f"{len(results)} cells; best {best.cell} "
               f"mean val loss {best.mean_val_loss:.6g}; artifacts in {run.out}")
@@ -412,8 +431,8 @@ def plan_export_flows(cfg: dict) -> Step:
             header = ("t," + ",".join(f"x{i}" for i in range(sd)) + "," +
                       ",".join(f"f{i}" for i in range(sd)))
             write_csv(run.out / "field.csv", header,
-                      [[t, *pt, *vec] for t, at_t in zip(times, vecs)
-                       for pt, vec in zip(mesh, at_t)])
+                      ((t, *pt, *vec) for t, at_t in zip(times, vecs.tolist())
+                       for pt, vec in zip(mesh.tolist(), at_t)))
             if run.svg and sd == 2:
                 svg.field_plot(run.out / "field.svg", mesh, vecs[0],
                                title="vector field at t=0")

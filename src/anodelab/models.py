@@ -44,12 +44,13 @@ class ModelSpec:
                              "resnet_layers must be ints")
         if type(self.T) not in (int, float) or not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
-        if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
-            raise ValueError("input_dim, hidden_dim and output_dim must be >= 1")
-        if self.p < 0:
-            raise ValueError("augmentation size p must be >= 0")
-        if self.kind == "resnet" and self.resnet_layers < 1:
-            raise ValueError("resnet needs resnet_layers >= 1")
+        # each range error starts with the field's name (expcli swaps in the flag)
+        lows = {"input_dim": 1, "hidden_dim": 1, "output_dim": 1, "p": 0}
+        if self.kind == "resnet":
+            lows["resnet_layers"] = 1
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.head not in ("affine", "identity"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "identity" and self.state_dim != self.output_dim:

@@ -29,8 +29,11 @@ class _Canvas:
         return m + (x - x0) * sx, h - m - (y - y0) * sy
 
     def polyline(self, xs, ys, color, width=1.5):
-        pts = " ".join(f"{px:.2f},{py:.2f}"
-                       for px, py in (self.to_px(x, y) for x, y in zip(xs, ys)))
+        # to_px on whole arrays: the same float64 operations in the same
+        # order as per point, so the same pixel values
+        xy = np.column_stack(self.to_px(np.asarray(xs, dtype=float),
+                                        np.asarray(ys, dtype=float)))
+        pts = ("%.2f,%.2f " * len(xy))[:-1] % tuple(xy.ravel().tolist())
         self.parts.append(f'<polyline points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{width}"/>')
 

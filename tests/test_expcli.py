@@ -4,6 +4,7 @@ round trips, config precedence, and exit codes."""
 import argparse
 import functools
 import json
+import math
 import runpy
 import struct
 import sys
@@ -16,13 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anodelab.expcli as cli
+from anodelab import svg
 from anodelab.data import LabeledSet, load_idx, write_idx
 from anodelab.expcli import (CKPT_MAGIC, CKPT_VERSION, COMMANDS, EXIT_CONFIG,
                              EXIT_IO, EXIT_OK, EXIT_TRAINING, MNIST_FILES,
                              ConfigError, build_parser, load_checkpoint, main,
                              parse_config_file, resolve_config,
                              save_checkpoint)
-from anodelab.models import Model, ModelSpec, node_forward, param_count
+from anodelab.models import (Model, ModelSpec, flow_trajectory, node_forward,
+                             param_count, vector_field)
 from anodelab.odeint import SolverConfig, StepLimitError
 from anodelab.tensorgrad import Tensor, no_grad
 
@@ -437,12 +440,106 @@ class TestSweepCommand:
         assert len(summary) == 1 + 2 * 3 * 2 * 3
 
 
+def per_cell_write_csv(path, header, rows):
+    """The per-cell rule write_csv replaced, kept as its reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(c) if isinstance(c, (int, str)) else
+                              "" if c is None else format(float(c), ".9g")
+                              for c in row) + "\n")
+
+
+def per_point_polyline(self, xs, ys, color, width=1.5):
+    """The per-point _Canvas.polyline, kept as its reference."""
+    pts = " ".join(f"{px:.2f},{py:.2f}"
+                   for px, py in (self.to_px(x, y) for x, y in zip(xs, ys)))
+    self.parts.append(f'<polyline points="{pts}" fill="none" '
+                      f'stroke="{color}" stroke-width="{width}"/>')
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
+                               5e-324, 2.2250738585072014e-308, 1e16, 1 / 3])
+FLOATS = st.floats() | EDGE_FLOATS
+CELLS = st.one_of(
+    st.integers(), st.booleans(), st.none(), FLOATS,
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+# ndarray row elements, by dtype
+ARRAY_CELLS = {np.float64: FLOATS, np.float32: st.floats(width=32),
+               np.int64: st.integers(-2**63, 2**63 - 1), np.bool_: st.booleans()}
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows of one width whose cell types change from row to row, as
+    val_loss does between None and a float, mixed with ndarray rows."""
+    width = draw(st.integers(0, 6))
+    cells = st.lists(CELLS, min_size=width, max_size=width)
+    arrays = st.one_of(*(st.lists(c, min_size=width, max_size=width).map(
+        functools.partial(np.array, dtype=t)) for t, c in ARRAY_CELLS.items()))
+    return draw(st.lists(cells | arrays, max_size=12))
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=csv_rows())
+    def test_matches_per_cell_rule(self, tmp_path, rows):
+        per_cell_write_csv(tmp_path / "ref.csv", "a,b", rows)
+        cli.write_csv(tmp_path / "new.csv", "a,b", (r for r in rows))
+        assert ((tmp_path / "new.csv").read_bytes() ==
+                (tmp_path / "ref.csv").read_bytes())
+
+
 class TestExportFlowsCommand:
     def _checkpoint(self, tmp_path, spec):
         m = Model(spec, seed=0)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, m)
         return path
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=8),
+        ModelSpec(kind="node", input_dim=1, hidden_dim=8, head="identity")],
+        ids=["anode", "node-1d"])
+    def test_artifacts_match_per_cell_and_per_point_rules(self, tmp_path,
+                                                          monkeypatch, spec):
+        """flow.csv, field.csv and flow.svg are byte for byte what the
+        per-cell CSV rule and the per-point SVG rule give for the same model."""
+        ckpt = self._checkpoint(tmp_path, spec)
+        out, ref = tmp_path / "flows", tmp_path / "ref"
+        assert run(["export-flows", "--checkpoint", str(ckpt), "--out", str(out),
+                    "--n-points", "30", "--n-times", "6", "--svg"]) == EXIT_OK
+
+        model, sd = Model(spec, seed=0), spec.state_dim
+        defaults = COMMANDS["export-flows"].defaults
+        snap = flow_trajectory(model, np.linspace(-1.5, 1.5, 30)[:, None], 6,
+                               SolverConfig(rtol=defaults["solver_rtol"],
+                                            atol=defaults["solver_atol"]))
+        ref.mkdir()
+        per_cell_write_csv(ref / "flow.csv", "point_id,label,time," +
+                           ",".join(f"s{i}" for i in range(sd)),
+                           [[i, snap.labels[i], t, *snap.states[i, j]]
+                            for i in range(len(snap.states))
+                            for j, t in enumerate(snap.times)])
+        axis = np.linspace(-2.0, 2.0, 10)
+        mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
+                        axis=-1).reshape(-1, min(sd, 2))
+        mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))
+        times = [0.0, 0.5, 1.0]
+        per_cell_write_csv(ref / "field.csv",
+                           "t," + ",".join(f"x{i}" for i in range(sd)) + "," +
+                           ",".join(f"f{i}" for i in range(sd)),
+                           [[t, *pt, *vec]
+                            for t, at_t in zip(times, vector_field(model, mesh, times))
+                            for pt, vec in zip(mesh, at_t)])
+        monkeypatch.setattr(svg._Canvas, "polyline", per_point_polyline)
+        svg.trajectory_plot(ref / "flow.svg", snap.states, snap.labels,
+                            title="flow trajectories")
+        for name in ("flow.csv", "field.csv", "flow.svg"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_flow_and_field(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, ModelSpec(kind="anode", input_dim=1,
@@ -586,11 +683,24 @@ class TestManifestFirst:
         assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--aug", "-1"), ("--filters", "0")])
+    # (command, flags that make the probed flag count, flag, invalid value)
+    FLAG_PROBES = [
+        ("mnist-mini", [], "--aug", "-1"), ("mnist-mini", [], "--filters", "0"),
+        ("toy", [], "--hidden", "0"),
+        ("toy", ["--model", "anode"], "--aug", "-1"),
+        ("toy", ["--model", "resnet"], "--layers", "0"),
+        ("nfe", [], "--hidden", "0"), ("nfe", ["--model", "anode"], "--aug", "-1"),
+        ("generalization", [], "--hidden", "0"),
+        ("generalization", [], "--aug", "-1")]
+
+    @pytest.mark.parametrize("name, extra, flag, value", FLAG_PROBES,
+                             ids=[f"{f}-{v}" if n == "mnist-mini" else f"{n}-{f}-{v}"
+                                  for n, _, f, v in FLAG_PROBES])
     def test_mnist_mini_error_names_flag(self, tmp_path, cheap_argv, capsys,
-                                         flag, value):
+                                         name, extra, flag, value):
+        """The error names the flag the user set, not a dataclass field."""
         out = tmp_path / "out"
-        assert run(["mnist-mini", *cheap_argv["mnist-mini"], flag, value,
+        assert run([name, *cheap_argv[name], *extra, flag, value,
                     "--out", str(out)]) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
