@@ -155,12 +155,7 @@ class ConvDynamics:
     layers: list[tuple[Tensor, Tensor]]
 
     def eval(self, h: Tensor, t: float) -> Tensor:
-        for i, (w, b) in enumerate(self.layers):
-            tchan = Tensor(np.full((h.shape[0], 1) + h.shape[2:], t))
-            h = tg.conv2d(tg.concat([h, tchan], axis=1), w, b, padding=i % 2)
-            if i < 2:
-                h = tg.relu(h)
-        return h
+        return tg.convnet(h, t, self.layers)
 
 
 class Model:

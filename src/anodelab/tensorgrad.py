@@ -294,35 +294,85 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     return _out(acc, bwd)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
-    """2-D correlation plus bias, stride 1, padding in {0, 1}.
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Array-level 2-D correlation plus bias, stride 1, on an input that is
+    already padded: x (B, C, H, W), w (O, C, kh, kw), b (O,).  It records
+    nothing; it is the forward of each convolution of ``convnet``."""
+    win = sliding_window_view(x, w.shape[2:], axis=(2, 3))
+    return np.einsum("bcyxuv,ocuv->boyx", win, w, optimize=True) + b[:, None, None]
 
-    x: (B, C, H, W); w: (O, C, kh, kw); b: (O,).
-    """
-    if padding not in (0, 1):
-        raise ShapeError(f"conv2d: padding {padding} unsupported (need 0 or 1)")
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d: need 4-d input and weight, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: channel mismatch between {x.shape} and {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"conv2d: bias {b.shape} does not match filters {w.shape}")
-    kh, kw = w.shape[2], w.shape[3]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    if xp.shape[2] < kh or xp.shape[3] < kw:
-        raise ShapeError(f"conv2d: kernel {w.shape} larger than padded input {x.shape}")
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out = np.einsum("bcyxuv,ocuv->boyx", win, w.data, optimize=True) + b.data[:, None, None]
 
-    wd = w.data
+def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (input, weight, bias) of ``conv2d(x, w, b)`` for the output
+    gradient g, where x is the input padded by ``padding``; the input
+    gradient is for the unpadded input."""
+    kh, kw = w.shape[2:]
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
+    gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    gx = np.einsum("boyxuv,ocuv->bcyx", gwin, w[:, :, ::-1, ::-1], optimize=True)
+    # free the padded gradient first: otherwise the allocator hands the heap
+    # top back to the OS after each call and faults it in again on the next
+    del gp, gwin
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    gw = np.einsum("bcyxuv,boyx->ocuv", win, g, optimize=True)
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def convnet(x: Tensor, t: float,
+            layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """1x1 -> ReLU -> 3x3 (padding 1) -> ReLU -> 1x1 convolution block on a
+    (B, C, H, W) input as a single tape node.
+
+    Each (w, b) layer is an (O, in + 1, k, k) kernel and an (O,) bias; the
+    float t is appended as a constant input channel before each convolution.
+    Forward and backward repeat, operation for operation, the NumPy
+    arithmetic of the unfused chain of tape nodes (concat -> convolution ->
+    relu) x 2 -> concat -> convolution, which the tests keep as the
+    reference, so values and gradients are bit-identical to it.  The
+    backward keeps only each layer's input (the 3x3 layer's padded) and the
+    two ReLU masks."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"convnet: input must be 4-d, got {x.shape}")
+    if len(layers) != 3:
+        raise ShapeError(f"convnet: need 3 layers, got {len(layers)}")
+    width = x.shape[1]
+    for (w, b), k in zip(layers, (1, 3, 1)):
+        if w.data.ndim != 4 or w.shape[2:] != (k, k):
+            raise ShapeError(f"convnet: weight {w.shape} is not a {k}x{k} kernel")
+        if w.shape[1] != width + 1:
+            raise ShapeError(f"convnet: weight {w.shape} does not take {width} "
+                             "channels plus time")
+        if b.shape != (w.shape[0],):
+            raise ShapeError(f"convnet: bias {b.shape} does not match filters {w.shape}")
+        width = w.shape[0]
+    if not math.isfinite(t):
+        raise ValueError(f"convnet: non-finite time {t}")
+    (w1, b1), (w2, b2), (w3, b3) = layers
+    n, _, hh, ww = x.shape
+    tchan = (n, 1, hh, ww)
+    # the 1x1 inputs are built as the chain's concat builds them: the result
+    # takes its inputs' memory order, which einsum's rounding depends on
+    x1 = np.concatenate([x.data, np.full(tchan, t)], axis=1)
+    pre = conv2d(x1, w1.data, b1.data)
+    mask1 = pre > 0.0  # gradient at exactly 0 is defined as 0, as in relu
+    # ReLU output and time written straight into the padded 3x3 input, which
+    # is C-ordered like np.pad's output
+    x2 = np.zeros((n, pre.shape[1] + 1, hh + 2, ww + 2))
+    np.copyto(x2[:, :-1, 1:-1, 1:-1], pre, where=mask1)
+    x2[:, -1, 1:-1, 1:-1] = t
+    pre = conv2d(x2, w2.data, b2.data)
+    mask2 = pre > 0.0
+    x3 = np.concatenate([np.where(mask2, pre, 0.0), np.full(tchan, t)], axis=1)
+    del pre
+    out = conv2d(x3, w3.data, b3.data)
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
-        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        gx = np.einsum("boyxuv,ocuv->bcyx", gwin, wd[:, :, ::-1, ::-1], optimize=True)
-        gw = np.einsum("bcyxuv,boyx->ocuv", win, g, optimize=True)
-        return ((x, gx), (w, gw), (b, g.sum(axis=(0, 2, 3))))
+        gx, gw3, gb3 = _conv2d_vjp(g, x3, w3.data, 0)
+        gx, gw2, gb2 = _conv2d_vjp(gx[:, :-1] * mask2, x2, w2.data, 1)
+        gx, gw1, gb1 = _conv2d_vjp(gx[:, :-1] * mask1, x1, w1.data, 0)
+        return ((w3, gw3), (b3, gb3), (w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1),
+                (x, gx[:, :-1]))
 
     return _out(out, bwd)
 

@@ -4,9 +4,9 @@ and grid search with k-fold cross validation.
 Each record row is one training epoch (numbered from 0); train-side metrics
 are running means over that epoch's minibatches, so row 0 already reflects
 the nearly-untrained model and NFE growth can be read directly off the log.
-Training has one failure protocol: the first solver step limit, divergence or
-non-finite gradient ends the fit, and the partial record names where it
-happened.
+Training has one failure protocol: the first solver step limit, divergence,
+non-finite gradient or failed allocation ends the fit, and the partial
+record names where it happened.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ def evaluate(model: Model, dataset: LabeledSet,
     return tot_loss / n, tot_acc / n, tot_nfe / max(1, n_batches)
 
 
+# exception that ends a fit -> the word that starts record.error
+FAILURES = {StepLimitError: "step limit", DivergenceError: "divergence",
+            GradientError: "gradient", MemoryError: "memory"}
+
+
 def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
         cfg: TrainConfig,
         epoch_callback: Callable[[int, Model], None] | None = None) -> TrainRecord:
@@ -163,9 +168,10 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
     Train loss/accuracy/NFE are running means over that epoch's batches, so
     row 0 reflects the nearly-untrained model.  The optional callback fires
     once before training (index 0) and after each epoch (1..epochs), for
-    feature-snapshot exports.  The first step limit, divergence or non-finite
-    gradient, in a training batch or in the validation pass, ends training:
-    the partial record is returned with the error field set."""
+    feature-snapshot exports.  The first step limit, divergence, non-finite
+    gradient or MemoryError, in a training batch or in the validation pass,
+    ends training: the partial record is returned with the error field
+    set."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     record = TrainRecord(metadata={"seed": cfg.seed, "kind": model.spec.kind,
@@ -200,9 +206,8 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
             vl = va = None
             if val_set is not None and len(val_set) > 0:
                 vl, va, _ = evaluate(model, val_set, cfg)
-        except (StepLimitError, DivergenceError, GradientError) as exc:
-            what = ("step limit" if isinstance(exc, StepLimitError) else
-                    "divergence" if isinstance(exc, DivergenceError) else "gradient")
+        except tuple(FAILURES) as exc:
+            what = next(w for cls, w in FAILURES.items() if isinstance(exc, cls))
             record.error = f"{what} at epoch {epoch} {where}: {exc}"
             record.final_params = model.params.copy_values()
             return record

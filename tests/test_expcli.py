@@ -247,6 +247,18 @@ class TestToyCommand:
         assert "training failed: gradient at epoch 0 batch 0" in capsys.readouterr().err
         assert (out / "node.ckpt").exists()
 
+    def test_memory_error_in_training_exit_3(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(self, h, t):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli.mdl.MlpDynamics, "eval", out_of_memory)
+        out = tmp_path / "toy"
+        assert run(["toy", "--dim", "1", "--epochs", "1",
+                    "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "node: training failed: memory at epoch 0 batch 0: Unable" in err
+        assert (out / "node_train.csv").exists() and (out / "node.ckpt").exists()
+
     def test_invalid_dim_exit_2(self, tmp_path):
         assert run(["toy", "--dim", "3", "--out", str(tmp_path)]) == EXIT_CONFIG
 

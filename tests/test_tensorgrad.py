@@ -1,13 +1,16 @@
 """Unit and property tests for the reverse-mode autodiff engine."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anodelab import tensorgrad as tg
-from anodelab.models import MlpDynamics
+from anodelab.data import LabeledSet
+from anodelab.models import ConvDynamics, MlpDynamics, Model, ModelSpec
+from anodelab.train import TrainConfig, fit
 from anodelab.tensorgrad import (CompGraph, GraphError, ParamSet, ShapeError,
                                  Tensor, backward, grad_check)
 
@@ -202,9 +205,8 @@ class TestBackward:
 
 
 class TestConv2d:
-    def _naive(self, x, w, b, padding):
-        xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
-        B, C, H, W = xp.shape
+    def _naive(self, x, w, b):
+        B, C, H, W = x.shape
         O, _, kh, kw = w.shape
         out = np.zeros((B, O, H - kh + 1, W - kw + 1))
         for bi in range(B):
@@ -212,40 +214,17 @@ class TestConv2d:
                 for y in range(out.shape[2]):
                     for xx in range(out.shape[3]):
                         out[bi, o, y, xx] = np.sum(
-                            xp[bi, :, y:y + kh, xx:xx + kw] * w[o]) + b[o]
+                            x[bi, :, y:y + kh, xx:xx + kw] * w[o]) + b[o]
         return out
 
     @pytest.mark.parametrize("padding,k", [(0, 1), (1, 3), (0, 3)])
     def test_matches_naive(self, padding, k):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 3, 5, 5))
+        x = np.pad(rng.standard_normal((2, 3, 5, 5)),
+                   ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
         w = rng.standard_normal((4, 3, k, k))
         b = rng.standard_normal(4)
-        out = tg.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
-        assert np.allclose(out.data, self._naive(x, w, b, padding))
-
-    def test_shape_errors(self):
-        x = Tensor(np.zeros((1, 2, 4, 4)))
-        b = Tensor(np.zeros(3))
-        with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 5, 1, 1))), b)  # channel mismatch
-        with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), b, padding=2)
-        with pytest.raises(ShapeError):
-            tg.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), Tensor(np.zeros(5)))
-
-    def test_gradients_numerically(self):
-        rng = np.random.default_rng(1)
-        params = ParamSet()
-        params.add("w", rng.standard_normal((2, 2, 3, 3)) * 0.3)
-        params.add("b", rng.standard_normal(2) * 0.1)
-        x = np.asarray(rng.standard_normal((2, 2, 4, 4)))
-
-        def loss_fn():
-            out = tg.conv2d(Tensor(x), params["w"], params["b"], padding=1)
-            return tg.mse(out, np.zeros(out.shape))
-
-        assert grad_check(loss_fn, params) < 1e-6
+        assert np.allclose(tg.conv2d(x, w, b), self._naive(x, w, b))
 
 
 def unfused_mlp(x, t, layers):
@@ -328,6 +307,151 @@ class TestMlp:
         with CompGraph() as g:
             dyn.eval(h, 0.5)
         assert len(g) == 1
+
+
+def frozen_conv2d(x, w, b, padding):
+    """The tape primitive that tg.convnet replaced, frozen here as the
+    reference for its bit-for-bit test."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    out = np.einsum("bcyxuv,ocuv->boyx", win, w.data, optimize=True) + b.data[:, None, None]
+    wd = w.data
+
+    def bwd(g):
+        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
+        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        gx = np.einsum("boyxuv,ocuv->bcyx", gwin, wd[:, :, ::-1, ::-1], optimize=True)
+        gw = np.einsum("bcyxuv,boyx->ocuv", win, g, optimize=True)
+        return ((x, gx), (w, gw), (b, g.sum(axis=(0, 2, 3))))
+
+    return tg._out(out, bwd)
+
+
+def unfused_convnet(h, t, layers):
+    """Reference for tg.convnet: the primitive-by-primitive chain it replaces."""
+    for i, (w, b) in enumerate(layers):
+        tchan = Tensor(np.full((h.shape[0], 1) + h.shape[2:], t))
+        h = frozen_conv2d(tg.concat([h, tchan], axis=1), w, b, padding=i % 2)
+        if i < 2:
+            h = tg.relu(h)
+    return h
+
+
+class UnfusedConvDynamics(ConvDynamics):
+    def eval(self, h, t):
+        return unfused_convnet(h, t, self.layers)
+
+
+def conv_params(rng, channels, filters):
+    params = ParamSet()
+    layers = [(params.add(f"c{i}.w", rng.uniform(-0.5, 0.5, (o, c + 1, k, k))),
+               params.add(f"c{i}.b", rng.uniform(-0.3, 0.3, o)))
+              for i, (o, c, k) in enumerate(((filters, channels, 1),
+                                             (filters, filters, 3),
+                                             (channels, filters, 1)))]
+    return params, layers
+
+
+class TestConvnet:
+    @pytest.mark.parametrize("shape,filters", [
+        ((64, 1, 6, 6), 43),        # node, as in conv-idx
+        ((64, 6, 6, 6), 42),        # anode, as in conv-idx
+        ((3, 2, 1, 1), 5),          # 1x1 image
+        ((1, 3, 5, 5), 8),          # batch 1
+        ((2, 3, 28, 28), 4),        # MNIST size
+    ], ids=["node", "anode", "1x1", "batch1", "28x28"])
+    def test_bitwise_equal_to_unfused_chain(self, shape, filters):
+        # two chained applications, so gradients of every parameter and of
+        # the intermediate state accumulate from two nodes, as in a solve
+        x0 = np.random.default_rng(3).standard_normal(shape)
+
+        def run(fn):
+            params, layers = conv_params(np.random.default_rng(9), shape[1], filters)
+            x = Tensor(x0, requires_grad=True)
+            with CompGraph() as g:
+                h = fn(x, 0.37, layers)
+                y = fn(h, 0.61, layers)
+                loss = tg.mse(tg.lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
+            backward(g, loss)
+            return [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
+
+        got, ref = run(tg.convnet), run(unfused_convnet)
+        assert len(got) == 9
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b) and a.strides == b.strides
+
+    def test_fit_bitwise_equal_to_unfused_chain(self):
+        # a 1-epoch cross-entropy fit with dopri5 step control and a
+        # validation pass: records and final parameters are identical
+        rng = np.random.default_rng(5)
+        train_set = LabeledSet(rng.standard_normal((24, 1, 4, 4)),
+                               rng.integers(0, 2, 24))
+        val_set = LabeledSet(rng.standard_normal((8, 1, 4, 4)), rng.integers(0, 2, 8))
+        cfg = TrainConfig(epochs=1, batch_size=8, loss="cross_entropy", lr=1e-2)
+        spec = ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=4,
+                         output_dim=2, conv=True)
+        records = []
+        for dynamics in (ConvDynamics, UnfusedConvDynamics):
+            model = Model(spec, seed=2)
+            model.dynamics = dynamics(model.dynamics.layers)
+            records.append(fit(model, train_set, val_set, cfg))
+        fused, ref = records
+        assert fused.error is None and fused.epochs[0].nfe_forward_mean > 1
+        assert fused.deterministic_rows() == ref.deterministic_rows()
+        for name, value in ref.final_params.items():
+            assert np.array_equal(fused.final_params[name], value)
+
+    def test_gradients_numerically(self):
+        rng = np.random.default_rng(1)
+        params, layers = conv_params(rng, 2, 3)
+        x = rng.standard_normal((2, 2, 4, 4))
+
+        def loss_fn():
+            out = tg.convnet(Tensor(x), 0.4, layers)
+            return tg.mse(out, np.zeros(out.size))
+
+        assert grad_check(loss_fn, params) < 1e-6
+
+    @pytest.mark.parametrize("x_shape,shapes", [
+        ((2, 4, 4), [((3, 3, 1, 1), (3,)), ((3, 4, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1, 1), (3,)), ((3, 4, 3, 3), (3,))]),
+        ((1, 2, 4, 4), [((3, 3, 3, 3), (3,)), ((3, 4, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1, 1), (3,)), ((3, 4, 1, 1), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1), (3,)), ((3, 4, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 2, 1, 1), (3,)), ((3, 4, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1, 1), (3,)), ((3, 3, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1, 1), (3,)), ((3, 4, 3, 3), (2,)), ((2, 4, 1, 1), (2,))]),
+        ((1, 2, 4, 4), [((3, 3, 1, 1), (1, 3)), ((3, 4, 3, 3), (3,)), ((2, 4, 1, 1), (2,))]),
+    ], ids=["3-d input", "two layers", "3x3 first", "1x1 middle", "3-d kernel",
+            "no time channel", "widths disagree", "bias width", "2-d bias"])
+    def test_shape_errors(self, x_shape, shapes):
+        layers = [(Tensor(np.ones(ws)), Tensor(np.zeros(bs))) for ws, bs in shapes]
+        with pytest.raises(ShapeError):
+            tg.convnet(Tensor(np.ones(x_shape)), 0.5, layers)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time(self, t):
+        _, layers = conv_params(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ValueError, match=f"convnet: non-finite time {t}"):
+            tg.convnet(Tensor(np.ones((1, 2, 3, 3))), t, layers)
+
+    def test_dynamics_eval_records_one_node(self, monkeypatch):
+        # the fused node runs each convolution through the module attribute
+        # conv2d, which is where a wrapper patched onto tg.conv2d sees it
+        calls = []
+        real_conv2d = tg.conv2d
+
+        def counting_conv2d(*args):
+            calls.append(1)
+            return real_conv2d(*args)
+
+        monkeypatch.setattr(tg, "conv2d", counting_conv2d)
+        _, layers = conv_params(np.random.default_rng(0), 2, 3)
+        with CompGraph() as g:
+            ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
+        assert len(g) == 1 and len(calls) == 3
 
 
 class TestMse:

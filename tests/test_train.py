@@ -183,6 +183,28 @@ class TestFit:
                   fast_cfg(epochs=1, seed=2)).final_params
         assert all(np.array_equal(rec.final_params[k], v) for k, v in ref.items())
 
+    @pytest.mark.parametrize("fail_at, where, done", [
+        (20, "epoch 0 batch 1", 0), (90, "epoch 1 validation", 1)],
+        ids=["batch", "validation"])
+    def test_memory_error_halts_with_partial_record(self, fail_at, where, done):
+        # 16 evals per forward (rk4, 4 steps): two train batches, then validation
+        model = tiny_model()
+        real_eval = model.dynamics.eval
+        calls = []
+
+        class FailingDynamics:
+            def eval(self, h, t):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise MemoryError("Unable to allocate 1.00 TiB")
+                return real_eval(h, t)
+
+        model.dynamics = FailingDynamics()
+        rec = fit(model, tiny_dataset(), tiny_dataset(16, seed=1), fast_cfg(epochs=3))
+        assert rec.error == f"memory at {where}: Unable to allocate 1.00 TiB"
+        assert len(calls) == fail_at and len(rec.epochs) == done
+        assert rec.final_params is not None
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_derivative_halts_with_divergence(self):
         model = tiny_model()
