@@ -26,19 +26,25 @@ class _Canvas:
         (x0, x1), (y0, y1) = self.xlim, self.ylim
         sx = (w - 2 * m) / max(x1 - x0, 1e-12)
         sy = (h - 2 * m) / max(y1 - y0, 1e-12)
-        return m + (x - x0) * sx, h - m - (y - y0) * sy
+        # m + (x - x0) * sx and h - m - (y - y0) * sy, with the same bits
+        # (a sum's order does not change it, nor does negating a product),
+        # done in place so an array input costs one new array per axis
+        px = np.subtract(x, x0)
+        px *= sx
+        px += m
+        py = np.subtract(y, y0)
+        py *= -sy
+        py += h - m
+        return px, py
 
-    def polyline(self, xs, ys, color, width=1.5):
-        # to_px on whole arrays: the same float64 operations in the same
-        # order as per point, so the same pixel values
-        xy = np.column_stack(self.to_px(np.asarray(xs, dtype=float),
-                                        np.asarray(ys, dtype=float)))
+    def polyline(self, pxs, pys, color, width=1.5):
+        """One polyline through pixel coordinates, as to_px returns them."""
+        xy = np.column_stack((pxs, pys))
         pts = ("%.2f,%.2f " * len(xy))[:-1] % tuple(xy.ravel().tolist())
         self.parts.append(f'<polyline points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{width}"/>')
 
-    def circle(self, x, y, color, r=3.0):
-        px, py = self.to_px(x, y)
+    def circle(self, px, py, color, r=3.0):
         self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" '
                           f'fill="{color}"/>')
 
@@ -80,7 +86,7 @@ def line_plot(path, series: dict[str, tuple[np.ndarray, np.ndarray]],
     c.set_limits(_limits(xs), _limits(ys))
     for i, (name, (x, y)) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
-        c.polyline(np.asarray(x, float), np.asarray(y, float), color)
+        c.polyline(*c.to_px(np.asarray(x, float), np.asarray(y, float)), color)
         c.text(name, c.width - c.margin - 120, c.margin + 16 * i)
     if title:
         c.text(title, c.margin, 20)
@@ -93,18 +99,25 @@ def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
     higher dimensions use the first two state coordinates."""
     c = _Canvas()
     n_pts, n_times, dim = states.shape
+    # to_px maps every point of the plot at once: the same float64
+    # operations per element as point by point, so the same pixels
     if dim == 1:
         t = np.linspace(0.0, 1.0, n_times)
         c.set_limits(_limits([t]), _limits([states[:, :, 0]]))
+        px, py = c.to_px(t, states[:, :, 0])
         for i in range(n_pts):
             color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
-            c.polyline(t, states[i, :, 0], color)
+            c.polyline(px, py[i], color)
     else:
         c.set_limits(_limits([states[:, :, 0]]), _limits([states[:, :, 1]]))
+        px, py = c.to_px(states[:, :, 0], states[:, :, 1])
         for i in range(n_pts):
             color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
-            c.polyline(states[i, :, 0], states[i, :, 1], color)
-            c.circle(states[i, 0, 0], states[i, 0, 1], color)
+            c.polyline(px[i], py[i], color)
+            c.circle(px[i, 0], py[i, 0], color)
+    # free the pixel arrays before write() joins the document: held, they
+    # raise the export's peak RSS by more than their size
+    del px, py
     if title:
         c.text(title, c.margin, 20)
     c.write(path)

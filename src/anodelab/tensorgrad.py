@@ -185,13 +185,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _out(ad @ bd, bwd)
 
 
+def _relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one ReLU rule: writes max(pre, 0) into out, which may be pre
+    itself, and returns the mask pre > 0 that the gradient passes through
+    (so the gradient at exactly 0 is 0).  fmax sends NaN to 0 and += 0.0
+    turns -0.0 into +0.0, so out holds the bits of np.where(pre > 0.0, pre,
+    0.0) for every input, without its branch or its new array."""
+    mask = pre > 0.0
+    np.fmax(pre, 0.0, out=out)
+    out += 0.0
+    return mask
+
+
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0  # gradient at exactly 0 is defined as 0
+    out = np.empty_like(a.data)
+    mask = _relu(a.data, out)
 
     def bwd(g):
         return ((a, g * mask),)
 
-    return _out(np.where(mask, a.data, 0.0), bwd)
+    return _out(out, bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -242,13 +255,14 @@ def mlp(x: Tensor, t: float | None,
     acts = [z]      # input of each layer
     masks = []      # ReLU mask of each hidden layer
     for w, b in layers[:-1]:
-        pre = z @ w.data + b.data
-        mask = pre > 0.0  # gradient at exactly 0 is defined as 0, as in relu
-        z = np.where(mask, pre, 0.0)
+        # z @ w is a new array, so the bias add and ReLU never write into x
+        z = z @ w.data
+        z += b.data
+        masks.append(_relu(z, z))
         acts.append(z)
-        masks.append(mask)
     w, b = layers[-1]
-    out = z @ w.data + b.data
+    out = z @ w.data
+    out += b.data
 
     def bwd(g):
         grads = []
@@ -286,7 +300,7 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     acc = coeffs[0] * tensors[0].data
     for c, t in zip(coeffs[1:], tensors[1:]):
         if c != 0.0:
-            acc = acc + c * t.data
+            acc += c * t.data
 
     def bwd(g):
         return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
@@ -299,6 +313,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     already padded: x (B, C, H, W), w (O, C, kh, kw), b (O,).  It records
     nothing; it is the forward of each convolution of ``convnet``."""
     win = sliding_window_view(x, w.shape[2:], axis=(2, 3))
+    # not in place: the sum's new array normalizes the strides that einsum
+    # leaves on a size-1 filter axis
     return np.einsum("bcyxuv,ocuv->boyx", win, w, optimize=True) + b[:, None, None]
 
 
@@ -355,15 +371,14 @@ def convnet(x: Tensor, t: float,
     # takes its inputs' memory order, which einsum's rounding depends on
     x1 = np.concatenate([x.data, np.full(tchan, t)], axis=1)
     pre = conv2d(x1, w1.data, b1.data)
-    mask1 = pre > 0.0  # gradient at exactly 0 is defined as 0, as in relu
     # ReLU output and time written straight into the padded 3x3 input, which
     # is C-ordered like np.pad's output
     x2 = np.zeros((n, pre.shape[1] + 1, hh + 2, ww + 2))
-    np.copyto(x2[:, :-1, 1:-1, 1:-1], pre, where=mask1)
+    mask1 = _relu(pre, x2[:, :-1, 1:-1, 1:-1])
     x2[:, -1, 1:-1, 1:-1] = t
     pre = conv2d(x2, w2.data, b2.data)
-    mask2 = pre > 0.0
-    x3 = np.concatenate([np.where(mask2, pre, 0.0), np.full(tchan, t)], axis=1)
+    mask2 = _relu(pre, pre)  # in place keeps pre's memory order for concat
+    x3 = np.concatenate([pre, np.full(tchan, t)], axis=1)
     del pre
     out = conv2d(x3, w3.data, b3.data)
 

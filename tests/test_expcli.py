@@ -462,12 +462,58 @@ def per_cell_write_csv(path, header, rows):
                               for c in row) + "\n")
 
 
-def per_point_polyline(self, xs, ys, color, width=1.5):
-    """The per-point _Canvas.polyline, kept as its reference."""
-    pts = " ".join(f"{px:.2f},{py:.2f}"
-                   for px, py in (self.to_px(x, y) for x, y in zip(xs, ys)))
-    self.parts.append(f'<polyline points="{pts}" fill="none" '
-                      f'stroke="{color}" stroke-width="{width}"/>')
+def per_point_to_px(c, x, y):
+    """svg._Canvas.to_px on one pair of Python floats, kept as its reference."""
+    m, w, h = c.margin, c.width, c.height
+    (x0, x1), (y0, y1) = c.xlim, c.ylim
+    sx = (w - 2 * m) / max(x1 - x0, 1e-12)
+    sy = (h - 2 * m) / max(y1 - y0, 1e-12)
+    return m + (x - x0) * sx, h - m - (y - y0) * sy
+
+
+@pytest.mark.parametrize("lims", [((-1.0, 2.0), (0.5, 0.75)),
+                                  ((-3e-13, 3e-13), (-1e300, 1e300))])
+def test_to_px_matches_per_point_rule(lims):
+    """to_px on whole arrays and on scalars gives the per-point bits."""
+    c = svg._Canvas()
+    c.set_limits(*lims)
+    xs = np.concatenate([np.random.default_rng(0).standard_normal(40) * 10.0 ** np.arange(-8, 12, 0.5),
+                         [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]])
+    ys = xs[::-1].copy()
+    with np.errstate(over="ignore"):    # 1e300 over a 6e-13 range is inf
+        px, py = c.to_px(xs, ys)
+    ref = [per_point_to_px(c, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert px.view(np.int64).tolist() == np.array([r[0] for r in ref]).view(np.int64).tolist()
+    assert py.view(np.int64).tolist() == np.array([r[1] for r in ref]).view(np.int64).tolist()
+    for (x, y), r in zip(zip(xs.tolist(), ys.tolist()), ref):
+        with np.errstate(over="ignore"):
+            got = c.to_px(x, y)
+        assert np.array(got).view(np.int64).tolist() == np.array(r).view(np.int64).tolist()
+
+
+def per_point_trajectory_plot(path, states, labels, title):
+    """The per-point svg.trajectory_plot, kept as its reference: one pixel
+    mapping and one f-string per point."""
+    c = svg._Canvas()
+    n_pts, n_times, dim = states.shape
+    if dim == 1:
+        t = np.linspace(0.0, 1.0, n_times)
+        c.set_limits(svg._limits([t]), svg._limits([states[:, :, 0]]))
+        lines = [(t, s[:, 0]) for s in states]
+    else:
+        c.set_limits(svg._limits([states[:, :, 0]]), svg._limits([states[:, :, 1]]))
+        lines = [(s[:, 0], s[:, 1]) for s in states]
+    for (xs, ys), label in zip(lines, labels):
+        color = svg._COLORS[0] if label > 0 else svg._COLORS[1]
+        pxy = [per_point_to_px(c, float(x), float(y)) for x, y in zip(xs, ys)]
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in pxy)
+        c.parts.append(f'<polyline points="{pts}" fill="none" '
+                       f'stroke="{color}" stroke-width="1.5"/>')
+        if dim > 1:
+            c.parts.append(f'<circle cx="{pxy[0][0]:.2f}" cy="{pxy[0][1]:.2f}" '
+                           f'r="3.0" fill="{color}"/>')
+    c.text(title, c.margin, 20)
+    c.write(path)
 
 
 EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
@@ -516,8 +562,7 @@ class TestExportFlowsCommand:
         ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=8),
         ModelSpec(kind="node", input_dim=1, hidden_dim=8, head="identity")],
         ids=["anode", "node-1d"])
-    def test_artifacts_match_per_cell_and_per_point_rules(self, tmp_path,
-                                                          monkeypatch, spec):
+    def test_artifacts_match_per_cell_and_per_point_rules(self, tmp_path, spec):
         """flow.csv, field.csv and flow.svg are byte for byte what the
         per-cell CSV rule and the per-point SVG rule give for the same model."""
         ckpt = self._checkpoint(tmp_path, spec)
@@ -547,9 +592,8 @@ class TestExportFlowsCommand:
                            [[t, *pt, *vec]
                             for t, at_t in zip(times, vector_field(model, mesh, times))
                             for pt, vec in zip(mesh, at_t)])
-        monkeypatch.setattr(svg._Canvas, "polyline", per_point_polyline)
-        svg.trajectory_plot(ref / "flow.svg", snap.states, snap.labels,
-                            title="flow trajectories")
+        per_point_trajectory_plot(ref / "flow.svg", snap.states, snap.labels,
+                                  title="flow trajectories")
         for name in ("flow.csv", "field.csv", "flow.svg"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the reverse-mode autodiff engine."""
 
+import tracemalloc
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
@@ -300,6 +302,36 @@ class TestMlp:
         with pytest.raises(ShapeError):
             tg.mlp(Tensor(np.ones(x_shape)), t, layers)
 
+    def test_no_grad_eval_allocation_peak(self):
+        # one 2000-point export evaluation: the hidden layers' bias adds and
+        # ReLUs run in place, so at most two (B, hidden) arrays are alive
+        # (the two layers' outputs, which the backward keeps), plus the
+        # time-augmented input, the masks, the output, and the one buffer
+        # NumPy's ufunc machinery allocates for a broadcast in-place add
+        # (np.getbufsize() items).  A new array per bias add or ReLU adds
+        # at least one more (B, hidden) array: the np.where rule peaked at
+        # 2191 KiB here, against a bound of 1302 KiB
+        n, d, hidden = 2000, 3, 32
+        params = ParamSet()
+        dyn = MlpDynamics.init(params, np.random.default_rng(0), d, hidden)
+        h = Tensor(np.random.default_rng(1).standard_normal((n, d)))
+        with tg.no_grad():
+            dyn.eval(h, 0.5)
+            tracemalloc.start()
+            try:
+                dyn.eval(h, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        f64 = 8
+        bound = (2 * n * hidden * f64           # the hidden layers' outputs
+                 + 2 * n * hidden               # their boolean masks
+                 + n * (d + 1) * f64            # the input with its time column
+                 + n * d * f64                  # the output
+                 + np.getbufsize() * f64        # one ufunc buffer
+                 + 4096)                        # Python objects
+        assert peak <= bound, (peak, bound)
+
     def test_dynamics_eval_records_one_node(self):
         params = ParamSet()
         dyn = MlpDynamics.init(params, np.random.default_rng(0), 2, 8)
@@ -452,6 +484,131 @@ class TestConvnet:
         with CompGraph() as g:
             ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
         assert len(g) == 1 and len(calls) == 3
+
+
+# every value the ReLU rule must map as np.where(pre > 0.0, pre, 0.0) does
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def where_relu(a):
+    """The np.where ReLU primitive that the shared rule replaced, frozen as
+    the reference for it."""
+    mask = a.data > 0.0
+
+    def bwd(g):
+        return ((a, g * mask),)
+
+    return tg._out(np.where(mask, a.data, 0.0), bwd)
+
+
+def poke_first_layer(w, b, with_inf):
+    """Set the first layer so its pre-activations hold every special value.
+
+    Unit 0 gives -0.0 on sample 0, whose inputs are all 1e-200: its weights
+    are -1e-200, and -5e-324 for the time input, so every product is a
+    negative number below the smallest subnormal, and its bias is -0.0.
+    (An exact -0.0 product would not do: a fused multiply-add onto a +0.0
+    accumulator gives +0.0.)  Units 1.. have zero weights and a special
+    bias each.  +inf is left out unless ``with_inf``, since it spreads NaN
+    through every later layer and gradient."""
+    units = np.moveaxis(w.data, 1, 0) if w.data.ndim == 2 else w.data
+    units[0] = -1e-200
+    units[0, -1] = -5e-324
+    b.data[0] = -0.0
+    specials = [np.nan, -np.inf, 0.0, 5e-324, -5e-324] + [np.inf] * with_inf
+    units[1:1 + len(specials)] = 0.0
+    b.data[1:1 + len(specials)] = specials
+
+
+class TestReluRule:
+    """mlp, convnet and relu share one ReLU rule; it must give the bits of
+    np.where(pre > 0.0, pre, 0.0) and its mask for every input, and must
+    not write into any operand.  Whether a hidden activation is -0.0 or
+    +0.0 cannot show in an mlp or convnet output or gradient (a zero
+    product adds nothing to a nonzero sum), so the relu primitive, whose
+    output is the activation, pins that part of the rule."""
+
+    def test_relu_primitive(self):
+        # 5 copies: -0.0 also sits at index 32, in the scalar tail of
+        # NumPy's vector loops over 35 elements
+        values = np.tile(SPECIALS, 5)
+
+        def run(fn):
+            x = Tensor(np.ones(values.size), requires_grad=True)
+            x.data[:] = values
+            with CompGraph() as g:
+                y = fn(x)
+                loss = tg.mse(y, np.zeros(y.shape))
+            with np.errstate(all="ignore"):
+                backward(g, loss)
+            assert bits(x.data).tolist() == bits(values).tolist()
+            return y.data, x.grad
+
+        for got, ref in zip(run(tg.relu), run(where_relu)):
+            assert np.array_equal(bits(got), bits(ref))
+        assert bits(run(tg.relu)[0][:7]).tolist() == bits([0, np.inf, 0, 0, 0, 5e-324, 0]).tolist()
+
+    @pytest.mark.parametrize("with_inf", [False, True], ids=["finite", "inf"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
+    @pytest.mark.parametrize("kind", ["mlp", "convnet"])
+    def test_special_pre_activations(self, monkeypatch, kind, taped, with_inf):
+        monkeypatch.setattr(tg, "relu", where_relu)  # the chains' ReLU
+        rng = np.random.default_rng(13)
+        if kind == "mlp":
+            x0 = rng.standard_normal((6, 3))
+            fused, chain, t = tg.mlp, unfused_mlp, 0.37
+
+            def make():
+                return mlp_params(np.random.default_rng(17), (4, 8, 8, 3))
+
+            def first_pre(z, w, b):
+                return z @ w + b
+        else:
+            x0 = rng.standard_normal((3, 2, 4, 4))
+            fused, chain, t = tg.convnet, unfused_convnet, 0.37
+
+            def make():
+                return conv_params(np.random.default_rng(17), 2, 8)
+
+            def first_pre(z, w, b):
+                return tg.conv2d(z, w, b)
+        x0[0] = 1e-200
+
+        def run(fn):
+            params, layers = make()
+            poke_first_layer(*layers[0], with_inf)
+            x = Tensor(x0, requires_grad=True)
+            before = [p.data.tobytes() for p in (x, *(p for _, p in params.items()))]
+            with np.errstate(all="ignore"):
+                if taped:
+                    with CompGraph() as g:
+                        y = fn(x, t, layers)
+                        loss = tg.mse(y, np.zeros(y.size))
+                    backward(g, loss)
+                    grads = [x.grad] + [p.grad for _, p in params.items()]
+                else:
+                    with tg.no_grad():
+                        y = fn(x, t, layers)
+                    grads = []
+            after = [p.data.tobytes() for p in (x, *(p for _, p in params.items()))]
+            assert after == before
+            return layers, [y.data] + grads
+
+        layers, got = run(fused)
+        _, ref = run(chain)
+        w, b = layers[0]
+        z = np.concatenate([x0, np.full((x0.shape[0], 1) + x0.shape[2:], t)], axis=1)
+        pre = first_pre(z, w.data, b.data)
+        wanted = SPECIALS if with_inf else SPECIALS[SPECIALS != np.inf]
+        assert np.isin(bits(wanted), bits(pre)).all()
+        assert len(got) == len(ref) == (1 + 2 * len(layers) + 1 if taped else 1)
+        assert np.isfinite(got[0]).all() != with_inf
+        for a, r in zip(got, ref):
+            assert np.array_equal(bits(a), bits(r)) and a.strides == r.strides
 
 
 class TestMse:
