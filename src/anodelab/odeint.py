@@ -141,13 +141,22 @@ def adapt_step(error_norm: float, dt: float) -> tuple[bool, float]:
 
 def _initial_step(f0: np.ndarray, x0: np.ndarray, span: float,
                   cfg: SolverConfig) -> float:
-    # Single-evaluation heuristic reusing k1, so the NFE identity
-    # nfe = 1 + 6*(accepted + rejected) stays exact.
-    d0 = np.sqrt(np.mean((x0 / (cfg.atol + cfg.rtol * np.abs(x0))) ** 2))
-    d1 = np.sqrt(np.mean((f0 / (cfg.atol + cfg.rtol * np.abs(x0))) ** 2))
+    # Hairer's HINIT (Solving ODEs I, sec. II.4) without its second
+    # evaluation, so it reuses k1 and nfe = 1 + 6*(accepted + rejected)
+    # stays exact.  h0 = 0.01*d0/d1 is HINIT's Euler probe step.  HINIT
+    # bounds the step by (0.01/max(d1, d2))^(1/5), where d2 estimates the
+    # second derivative from f(x0 + h0*f0), the evaluation left out here;
+    # h1 keeps the bound with d1 alone.  The cap is the controller's own
+    # MAX_FACTOR, the growth the probe step would get once accepted (HINIT
+    # caps at 100*h0).
+    scale = cfg.atol + cfg.rtol * np.abs(x0)
+    d0 = np.sqrt(np.mean((x0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     if d0 < 1e-5 or d1 < 1e-5:
         return min(1e-2 * span, span)
-    return min(1e-2 * d0 / d1, span)
+    h0 = 1e-2 * d0 / d1
+    h1 = (1e-2 / d1) ** 0.2
+    return min(MAX_FACTOR * h0, h1, span)
 
 
 def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anodelab import models as mdl
 from anodelab import tensorgrad as tg
+from anodelab.data import SphereAnnulusConfig, angular_split, gen_concentric
 from anodelab.models import (Model, ModelSpec, augment, features,
                              flow_trajectory, invert_features,
                              match_conv_filters, node_forward, param_count,
@@ -134,6 +135,18 @@ class TestForward:
         out, nfe = node_forward(m, Tensor(np.zeros((5, 2))))
         assert out.shape == (5, 1)
         assert nfe >= 7 and (nfe - 1) % 6 == 0
+
+    @pytest.mark.parametrize("kind,p,nfe", [("node", 0, 13), ("anode", 5, 13)])
+    def test_concentric_nfe_pinned(self, kind, p, nfe):
+        # A3's fixture specs at seed 0, untrained, on the first 64 training
+        # points: a deterministic NFE gate (19 each with the Euler probe
+        # h0 = 0.01*d0/d1 alone as the first step)
+        ds = gen_concentric(SphereAnnulusConfig(d=2, seed=0))
+        train_set, _ = angular_split(ds, 0.0, np.pi / 5)
+        m = Model(ModelSpec(kind=kind, input_dim=2, p=p, hidden_dim=32,
+                            output_dim=1), seed=0)
+        _, got = node_forward(m, Tensor(train_set.inputs[:64]), SolverConfig())
+        assert got == nfe
 
     def test_anode_p0_equals_node_same_seed(self):
         a = Model(ModelSpec(kind="anode", input_dim=2, p=0, hidden_dim=8), seed=3)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from anodelab import tensorgrad as tg
 from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
-                             SolverConfig, StepLimitError, adapt_step,
-                             dopri5_step, error_norm, integrate,
+                             SolverConfig, StepLimitError, _initial_step,
+                             adapt_step, dopri5_step, error_norm, integrate,
                              lipschitz_bound)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
 
@@ -116,6 +116,18 @@ class TestAccounting:
                     assert sol.nfe == 1 + 6 * (sol.steps_accepted
                                                + sol.steps_rejected)
                     assert sol.steps_accepted >= 1
+
+    @pytest.mark.parametrize("a,counts", [
+        # (nfe, accepted, rejected); the Euler probe h0 = 0.01*d0/d1 alone
+        # as the first step gave (19, 3, 0), (25, 4, 0), (31, 5, 0) and
+        # (49, 8, 0)
+        (0.5, (13, 2, 0)), (2.0, (19, 3, 0)), (-3.0, (25, 4, 0)),
+        (8.0, (43, 7, 0)),
+    ])
+    def test_dopri5_exact_counts(self, a, counts):
+        # the four problems of A8's NFE identity check
+        sol = integrate(Scalar(a), Tensor([1.0]), 0.0, 1.0)
+        assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
 
     def test_euler_one_eval_per_step(self):
         cfg = SolverConfig(method="euler", fixed_step=0.25)
@@ -239,6 +251,32 @@ class TestStepController:
         h = Tensor([1.0])
         h_next, err, k1, k7 = dopri5_step(f, h, 0.0, 0.1)
         assert np.allclose(k7.data, h_next.data)  # dh/dt = h
+
+
+class TestInitialStep:
+    # x0 = 1 at rtol = atol = 1e-3: scale 2e-3, so d0 = 500 and d1 = 500*|f0|
+    CFG = SolverConfig()
+
+    def step(self, f0, span=1.0):
+        return _initial_step(np.array([f0]), np.array([1.0]), span, self.CFG)
+
+    def test_capped_at_max_factor_times_probe(self):
+        # d1 = 5000: h0 = 0.01*500/5000 = 1e-3, h1 = (2e-6)^(1/5) = 0.0725
+        assert self.step(10.0) == pytest.approx(MAX_FACTOR * 1e-3, rel=1e-12)
+
+    def test_bounded_by_first_derivative(self):
+        # d1 = 10: h0 = 0.5, so MAX_FACTOR*h0 = 5, h1 = (1e-3)^(1/5)
+        assert self.step(0.02) == pytest.approx(10 ** -0.6, rel=1e-12)
+
+    def test_clipped_to_span(self):
+        # d1 = 1: h0 = 5, h1 = 0.01^(1/5) = 0.398 > span
+        assert self.step(0.002, span=0.25) == 0.25
+
+    def test_degenerate_state_or_derivative(self):
+        # d0 = 0 or d1 = 0: one hundredth of the span
+        zero = np.array([0.0])
+        assert _initial_step(np.array([1.0]), zero, 3.0, self.CFG) == 0.03
+        assert self.step(0.0, span=3.0) == 0.03
 
 
 class TestDifferentiation:
