@@ -324,7 +324,9 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     gradient g, where x is the input padded by ``padding``; the input
     gradient is for the unpadded input."""
     kh, kw = w.shape[2:]
-    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2))
+    ph, pw = kh - 1 - padding, kw - 1 - padding
+    # with no padding (the 1x1 layers) np.pad would only copy g
+    gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else g
     gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
     gx = np.einsum("boyxuv,ocuv->bcyx", gwin, w[:, :, ::-1, ::-1], optimize=True)
     # free the padded gradient first: otherwise the allocator hands the heap
@@ -346,8 +348,8 @@ def convnet(x: Tensor, t: float,
     arithmetic of the unfused chain of tape nodes (concat -> convolution ->
     relu) x 2 -> concat -> convolution, which the tests keep as the
     reference, so values and gradients are bit-identical to it.  The
-    backward keeps only each layer's input (the 3x3 layer's padded) and the
-    two ReLU masks."""
+    backward keeps only the last layer's input: it recomputes the cheap 1x1
+    first layer from x, and the second ReLU's mask from that input."""
     if x.data.ndim != 4:
         raise ShapeError(f"convnet: input must be 4-d, got {x.shape}")
     if len(layers) != 3:
@@ -367,24 +369,38 @@ def convnet(x: Tensor, t: float,
     (w1, b1), (w2, b2), (w3, b3) = layers
     n, _, hh, ww = x.shape
     tchan = (n, 1, hh, ww)
-    # the 1x1 inputs are built as the chain's concat builds them: the result
-    # takes its inputs' memory order, which einsum's rounding depends on
-    x1 = np.concatenate([x.data, np.full(tchan, t)], axis=1)
-    pre = conv2d(x1, w1.data, b1.data)
-    # ReLU output and time written straight into the padded 3x3 input, which
-    # is C-ordered like np.pad's output
-    x2 = np.zeros((n, pre.shape[1] + 1, hh + 2, ww + 2))
-    mask1 = _relu(pre, x2[:, :-1, 1:-1, 1:-1])
-    x2[:, -1, 1:-1, 1:-1] = t
+
+    def first_layer():
+        """The 1x1 layer's input, its ReLU mask and the padded 3x3 input,
+        by the same operations in the forward and in the backward."""
+        # the 1x1 inputs are built as the chain's concat builds them: the
+        # result takes its inputs' memory order, which einsum's rounding
+        # depends on
+        x1 = np.concatenate([x.data, np.full(tchan, t)], axis=1)
+        pre = conv2d(x1, w1.data, b1.data)
+        # ReLU output and time written straight into the padded 3x3 input,
+        # which is C-ordered like np.pad's output
+        x2 = np.zeros((n, pre.shape[1] + 1, hh + 2, ww + 2))
+        mask1 = _relu(pre, x2[:, :-1, 1:-1, 1:-1])
+        x2[:, -1, 1:-1, 1:-1] = t
+        return x1, mask1, x2
+
+    x2 = first_layer()[2]
     pre = conv2d(x2, w2.data, b2.data)
-    mask2 = _relu(pre, pre)  # in place keeps pre's memory order for concat
+    del x2
+    _relu(pre, pre)  # in place keeps pre's memory order for concat
     x3 = np.concatenate([pre, np.full(tchan, t)], axis=1)
     del pre
     out = conv2d(x3, w3.data, b3.data)
 
     def bwd(g):
         gx, gw3, gb3 = _conv2d_vjp(g, x3, w3.data, 0)
-        gx, gw2, gb2 = _conv2d_vjp(gx[:, :-1] * mask2, x2, w2.data, 1)
+        # _relu wrote pre where pre > 0.0 and +0.0 elsewhere (NaN included),
+        # so x3 > 0.0 is pre > 0.0, in pre's C order
+        gx = gx[:, :-1] * (x3[:, :-1] > 0.0)
+        x1, mask1, x2 = first_layer()
+        gx, gw2, gb2 = _conv2d_vjp(gx, x2, w2.data, 1)
+        del x2
         gx, gw1, gb1 = _conv2d_vjp(gx[:, :-1] * mask1, x1, w1.data, 0)
         return ((w3, gw3), (b3, gb3), (w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1),
                 (x, gx[:, :-1]))

@@ -485,6 +485,99 @@ class TestConvnet:
             ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
         assert len(g) == 1 and len(calls) == 3
 
+    def test_backward_recomputes_only_first_layer(self, monkeypatch):
+        # 3 convolutions in the forward and the 1x1 first layer once more
+        # in the backward; the 3x3 layer is never recomputed
+        shapes = []
+        real_conv2d = tg.conv2d
+
+        def counting_conv2d(x, w, b):
+            shapes.append(w.shape[2:])
+            return real_conv2d(x, w, b)
+
+        monkeypatch.setattr(tg, "conv2d", counting_conv2d)
+        _, layers = conv_params(np.random.default_rng(0), 2, 3)
+        with CompGraph() as g:
+            y = ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
+            loss = tg.mse(y, np.zeros(y.size))
+        backward(g, loss)
+        assert shapes == [(1, 1), (3, 3), (1, 1), (1, 1)]
+
+    def test_taped_eval_keeps_only_last_input(self):
+        # after one taped evaluation at conv-idx's node shape, the tape
+        # holds the output and the last layer's input, whose positive
+        # entries are the second ReLU's mask; the first layer is
+        # recomputed in the backward.  A closure that keeps every
+        # layer's input and both masks leaves about 2070 KiB alive here
+        n, c, size, filters = 64, 1, 6, 36
+        rng = np.random.default_rng(0)
+        dyn = ConvDynamics(conv_params(rng, c, filters)[1])
+        h = Tensor(rng.standard_normal((n, c, size, size)))
+        tracemalloc.start()
+        try:
+            with CompGraph() as g:
+                out = dyn.eval(h, 0.5)
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        f64 = 8
+        x3_nbytes = n * (filters + 1) * size * size * f64
+        bound = x3_nbytes + out.data.nbytes + 8192
+        assert len(g) == 1 and alive <= bound, (alive, bound)
+
+    def test_zero_and_subnormal_pre_activations(self):
+        # both ReLUs see pre-activations of exactly +0.0, -0.0 and
+        # +-5e-324, so the recomputed first mask and the second mask taken
+        # from the last layer's input must agree with the chain's masks.
+        # Zero-weight filters with those biases give +0.0 and +-5e-324.
+        # -0.0 needs a sum of products that are all negative but round to
+        # -0.0: weights of -5e-324 on inputs in [0, 0.5), with bias -0.0.
+        # Whether such a sum keeps its sign depends on how BLAS accumulates
+        # (the 3x3 layer's last few pixels give +0.0 here), so each value
+        # is only required to occur in its filter's pre-activations
+        t = 0.37
+        x0 = np.random.default_rng(3).uniform(0.01, 0.4, (3, 2, 5, 5))
+        biases = [0.0, -0.0, 5e-324, -5e-324]
+
+        def make():
+            params, layers = conv_params(np.random.default_rng(9), 2, 8)
+            (w1, b1), (w2, b2) = layers[:2]
+            # a small first layer keeps every 3x3 input below 0.5
+            w1.data *= 0.2
+            b1.data *= 0.2
+            for w, b in ((w1, b1), (w2, b2)):
+                w.data[:4] = 0.0
+                b.data[:4] = biases
+                w.data[1] = -5e-324
+            return params, layers
+
+        def run(fn):
+            params, layers = make()
+            x = Tensor(x0, requires_grad=True)
+            with CompGraph() as g:
+                h = fn(x, t, layers)
+                y = fn(h, 0.61, layers)
+                loss = tg.mse(tg.lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
+            backward(g, loss)
+            return layers, [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
+
+        layers, got = run(tg.convnet)
+        _, ref = run(unfused_convnet)
+        (w1, b1), (w2, b2) = layers[:2]
+        z = np.concatenate([x0, np.full((3, 1, 5, 5), t)], axis=1)
+        pre1 = tg.conv2d(z, w1.data, b1.data)
+        z = np.pad(np.maximum(pre1, 0.0), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        z = np.concatenate([z, np.pad(np.full((3, 1, 5, 5), t),
+                                      ((0, 0), (0, 0), (1, 1), (1, 1)))], axis=1)
+        assert z.max() < 0.5
+        pre2 = tg.conv2d(z, w2.data, b2.data)
+        for pre in (pre1, pre2):
+            for i, v in enumerate(biases):
+                assert (bits(pre[:, i]) == bits(v)).any(), (i, v)
+        assert len(got) == 9
+        for a, r in zip(got, ref):
+            assert np.array_equal(bits(a), bits(r)) and a.strides == r.strides
+
 
 # every value the ReLU rule must map as np.where(pre > 0.0, pre, 0.0) does
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324])
