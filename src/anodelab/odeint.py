@@ -1,7 +1,8 @@
 """Initial-value-problem integrators with exact function-evaluation accounting.
 
 Fixed-step Euler and RK4, and adaptive Dormand-Prince RK45 with the FSAL
-property.  All state arithmetic goes through the autodiff primitives, so a
+property, behind one step interface (_STEPS) and one integration loop
+(integrate).  All state arithmetic goes through the autodiff primitives, so a
 surrounding CompGraph captures the whole discrete trajectory and backward()
 differentiates through the solver (discretize-then-optimize).  Step-size
 control operates on detached values and is not differentiated.
@@ -48,12 +49,14 @@ class SolverConfig:
     max_steps: int = 10000
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4", "dopri5"):
+        if self.method not in _STEPS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.rtol < np.inf or not 0 < self.atol < np.inf:  # NaN fails too
             raise ValueError("rtol and atol must be finite and positive")
         if not 0 < self.fixed_step < np.inf:
             raise ValueError("fixed_step must be finite and positive")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -97,9 +100,9 @@ class _CountingDynamics:
 def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor | None = None):
     """One Dormand-Prince attempt from (h, t) with signed step dt.
 
-    Returns (h_next, error_estimate_array, k1, k7); k7 is reused as the next
-    step's k1 when the step is accepted (FSAL), so an accepted step after the
-    first costs 6 new evaluations.
+    Returns (h_next, error_estimate_array, k7); k7 = f(h_next) is reused as
+    the next step's k1 when the step is accepted (FSAL), so an accepted step
+    after the first costs 6 new evaluations.
     """
     if k1 is None:
         k1 = f.eval(h, t)
@@ -109,7 +112,25 @@ def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor | None = None):
         ks.append(f.eval(y, t + _DP_C[i] * dt))
     h_next = lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
     err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
-    return h_next, err, k1, ks[6]
+    return h_next, err, ks[6]
+
+
+def _euler_step(f, h, t, dt, _k1):
+    return lincomb((1.0, dt), (h, f.eval(h, t))), None, None
+
+
+def _rk4_step(f, h, t, dt, _k1):
+    k1 = f.eval(h, t)
+    k2 = f.eval(lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
+    k3 = f.eval(lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
+    k4 = f.eval(lincomb((1.0, dt), (h, k3)), t + dt)
+    return (lincomb((1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4)),
+            None, None)
+
+
+# step(f, h, t, dt, k1) -> (h_next, err, k_next): dopri5's local error
+# estimate and its derivative at h_next (the FSAL k1), None for Euler and RK4
+_STEPS = {"euler": _euler_step, "rk4": _rk4_step, "dopri5": dopri5_step}
 
 
 def error_norm(err: np.ndarray, h: np.ndarray, h_next: np.ndarray,
@@ -159,6 +180,14 @@ def _initial_step(f0: np.ndarray, x0: np.ndarray, span: float,
     return min(MAX_FACTOR * h0, h1, span)
 
 
+def _record(out_times, out_states, t, h, eval_times, idx, direction):
+    while idx < len(eval_times) and direction * (eval_times[idx] - t) <= 1e-12:
+        out_times.append(eval_times[idx])
+        out_states.append(h)
+        idx += 1
+    return idx
+
+
 def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
               eval_times: list[float] | None = None,
               cfg: SolverConfig | None = None, *,
@@ -171,6 +200,11 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
     x0 and the dynamics parameters.  per_sample makes dopri5 hold every
     sample (leading axis) of the state to rtol/atol instead of the batch's
     RMS error (see error_norm); the fixed-step methods ignore it.
+
+    Each output time past t0, and t1 beyond them, ends a segment.  Euler and
+    RK4 cross it in ceil(|span|/fixed_step) equal steps, all counted against
+    max_steps before the first; dopri5 in adaptive steps clipped to its end.
+    A solve with |t1 - t0| < 1e-15 returns x0 without evaluating f.
     """
     cfg = cfg or SolverConfig()
     if eval_times is None:
@@ -187,102 +221,52 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
     if not np.all(np.isfinite(x0.data)):
         raise DivergenceError("initial state is not finite")
 
-    counting = _CountingDynamics(f)
-    if cfg.method == "dopri5":
-        return _integrate_dopri5(counting, x0, t0, t1, eval_times, cfg,
-                                 direction, per_sample)
-    return _integrate_fixed(counting, x0, t0, t1, eval_times, cfg, direction)
-
-
-def _record(out_times, out_states, t, h, eval_times, idx, direction):
-    while idx < len(eval_times) and direction * (eval_times[idx] - t) <= 1e-12:
-        out_times.append(eval_times[idx])
-        out_states.append(h)
-        idx += 1
-    return idx
-
-
-def _integrate_dopri5(f, x0, t0, t1, eval_times, cfg, direction, per_sample):
-    t, h = t0, x0
+    f = _CountingDynamics(f)
+    step = _STEPS[cfg.method]
+    fixed = cfg.method != "dopri5"
+    t, h, k1 = t0, x0, None
     out_times: list[float] = []
     out_states: list[Tensor] = []
     idx = _record(out_times, out_states, t, h, eval_times, 0, direction)
     accepted = rejected = 0
     if idx >= len(eval_times) and abs(t1 - t0) < 1e-15:
-        return OdeSolution(out_times, out_states, f.nfe, 0, 0)
-
-    k1 = f.eval(h, t)
-    if not np.all(np.isfinite(k1.data)):
-        raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
-    dt = direction * _initial_step(k1.data, x0.data, abs(t1 - t0), cfg)
-    while direction * (t1 - t) > 1e-12:
-        if accepted + rejected >= cfg.max_steps:
-            raise StepLimitError(
-                f"dopri5: step limit {cfg.max_steps} reached at t={t:.6g}", f.nfe)
-        # clip to the next output time, then to the interval end
-        target = eval_times[idx] if idx < len(eval_times) else t1
-        if direction * (t + dt - target) > 0:
-            dt_try = target - t
-        else:
+        return OdeSolution(out_times, out_states, 0, 0, 0)
+    if not fixed:
+        k1 = f.eval(h, t)
+        if not np.all(np.isfinite(k1.data)):
+            raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
+        dt = direction * _initial_step(k1.data, x0.data, abs(t1 - t0), cfg)
+    segments = [te for te in eval_times if direction * (te - t0) > 1e-12]
+    if not segments or direction * (t1 - segments[-1]) > 1e-12:
+        segments.append(t1)
+    for target in segments:
+        if fixed:
+            n = max(1, int(np.ceil(abs(target - t) / cfg.fixed_step - 1e-12)))
+            dt, end = (target - t) / n, accepted + n
+        while (accepted < end) if fixed else (direction * (target - t) > 1e-12):
+            if (end if fixed else accepted + rejected + 1) > cfg.max_steps:
+                raise StepLimitError(f"{cfg.method}: step limit {cfg.max_steps} "
+                                     f"reached at t={t:.6g}", f.nfe)
             dt_try = dt
-        h_next, err, k1, k7 = dopri5_step(f, h, t, dt_try, k1)
-        if not np.all(np.isfinite(h_next.data)):
-            raise DivergenceError(f"dopri5: non-finite state at t={t:.6g}")
-        norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
-        accept, dt_mag = adapt_step(norm, abs(dt_try))
-        if accept:
-            t = t + dt_try
-            h = h_next
-            k1 = k7  # FSAL
-            accepted += 1
-            idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-        else:
-            rejected += 1
-        dt = direction * dt_mag
-    idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-    return OdeSolution(out_times, out_states, f.nfe, accepted, rejected)
-
-
-def _euler_step(f, h, t, dt):
-    k1 = f.eval(h, t)
-    return lincomb((1.0, dt), (h, k1))
-
-
-def _rk4_step(f, h, t, dt):
-    k1 = f.eval(h, t)
-    k2 = f.eval(lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
-    k3 = f.eval(lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
-    k4 = f.eval(lincomb((1.0, dt), (h, k3)), t + dt)
-    return lincomb((1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4))
-
-
-def _integrate_fixed(f, x0, t0, t1, eval_times, cfg, direction):
-    step_fn = _euler_step if cfg.method == "euler" else _rk4_step
-    t, h = t0, x0
-    out_times: list[float] = []
-    out_states: list[Tensor] = []
-    idx = _record(out_times, out_states, t, h, eval_times, 0, direction)
-    accepted = 0
-    # integrate segment by segment so every output time is hit exactly
-    boundaries = [te for te in eval_times if direction * (te - t0) > 1e-12]
-    if not boundaries or direction * (t1 - boundaries[-1]) > 1e-12:
-        boundaries.append(t1)
-    for target in boundaries:
-        span = target - t
-        n = max(1, int(np.ceil(abs(span) / cfg.fixed_step - 1e-12)))
-        if accepted + n > cfg.max_steps:
-            raise StepLimitError(
-                f"{cfg.method}: step limit {cfg.max_steps} reached", f.nfe)
-        dt = span / n
-        for i in range(n):
-            h = step_fn(f, h, t, dt)
-            t = t + dt
-            if not np.all(np.isfinite(h.data)):
+            if not fixed and direction * (t + dt - target) > 0:
+                dt_try = target - t  # clip to the output time
+            h_next, err, k_next = step(f, h, t, dt_try, k1)
+            if not np.all(np.isfinite(h_next.data)):
                 raise DivergenceError(f"{cfg.method}: non-finite state at t={t:.6g}")
-            accepted += 1
-        t = target
+            accept = err is None
+            if not accept:
+                norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
+                accept, dt_mag = adapt_step(norm, abs(dt_try))
+                dt = direction * dt_mag
+            if accept:
+                t, h, k1 = t + dt_try, h_next, k_next  # k_next: dopri5's FSAL k7
+                accepted += 1
+            else:
+                rejected += 1
+        if fixed:
+            t = target
         idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-    return OdeSolution(out_times, out_states, f.nfe, accepted, 0)
+    return OdeSolution(out_times, out_states, f.nfe, accepted, rejected)
 
 
 def lipschitz_bound(params: ParamSet, prefix: str = "") -> float:

@@ -62,6 +62,7 @@ class TestSolverConfig:
         {"rtol": float("nan")}, {"atol": float("nan")}, {"fixed_step": 0.0},
         {"rtol": float("inf")}, {"atol": float("inf")},
         {"fixed_step": float("inf")}, {"fixed_step": float("nan")},
+        {"max_steps": 0}, {"max_steps": -1}, {"max_steps": 2.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -145,6 +146,53 @@ class TestAccounting:
             integrate(Scalar(50.0), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
         assert ei.value.nfe >= 1
 
+    @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+    def test_zero_length_solve_spends_nothing(self, method):
+        x0 = Tensor([[0.5], [-2.0]])
+        for times in (None, [0.4], [0.4, 0.4]):
+            sol = integrate(Scalar(), x0, 0.4, 0.4, times,
+                            SolverConfig(method=method))
+            assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == (0, 0, 0)
+            assert sol.times == (times or [0.4])
+            assert all(s is x0 for s in sol.states)
+
+    @pytest.mark.parametrize("method,counts", [
+        ("euler", (10, 10, 0)), ("rk4", (40, 10, 0)), ("dopri5", (25, 4, 0))])
+    def test_segment_counts(self, method, counts):
+        # segments of 3, 4 and 3 fixed steps end at the output times
+        cfg = SolverConfig(method=method, fixed_step=0.1)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [0.0, 0.3, 0.7, 1.0],
+                        cfg)
+        assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
+
+    @pytest.mark.parametrize("method,nfe", [("euler", 3), ("rk4", 12)])
+    def test_fixed_segment_fits_step_limit_whole(self, method, nfe):
+        # 3 steps to 0.3 fit a limit of 5; the next segment's 4 do not, so
+        # the solve stops before stepping into it
+        cfg = SolverConfig(method=method, fixed_step=0.1, max_steps=5)
+        with pytest.raises(StepLimitError) as ei:
+            integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [0.0, 0.3, 0.7, 1.0],
+                      cfg)
+        assert ei.value.nfe == nfe
+        assert str(ei.value) == f"{method}: step limit 5 reached at t=0.3"
+
+    @given(st.sampled_from(["euler", "rk4", "dopri5"]), st.booleans(),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+           st.floats(0.05, 0.5), st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_one_loop_properties(self, method, forward, times, fixed_step, a):
+        t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+        times = sorted(times, reverse=not forward)
+        cfg = SolverConfig(method=method, fixed_step=fixed_step)
+        sol = integrate(Scalar(a), Tensor([[1.0], [0.3]]), t0, t1, times, cfg)
+        assert sol.times == times
+        if method == "dopri5":
+            assert sol.nfe == 1 + 6 * (sol.steps_accepted + sol.steps_rejected)
+        else:
+            stages = 1 if method == "euler" else 4
+            assert sol.nfe == stages * sol.steps_accepted
+            assert sol.steps_rejected == 0
+
 
 class TestEvalTimes:
     def test_output_times_hit_exactly(self):
@@ -155,6 +203,22 @@ class TestEvalTimes:
             assert sol.times == times
             vals = np.array([s.item() for s in sol.states])
             assert np.allclose(vals, np.exp(times), atol=0.2)
+
+    def test_fixed_segments_step_span_over_n(self):
+        # Euler on dh/dt = cos(t), bit for bit: each segment takes n equal
+        # steps of span/n from the accumulated t, never a step clipped to
+        # the output time, and then restarts exactly at the output time
+        t, h, want = 0.0, 0.0, []
+        for target, n in ((0.35, 4), (0.7, 4), (1.0, 3)):
+            dt = (target - t) / n
+            for _ in range(n):
+                h, t = h + dt * np.cos(t), t + dt
+            t = target
+            want.append(h)
+        cfg = SolverConfig(method="euler", fixed_step=0.1)
+        sol = integrate(TimeOnly(), Tensor([0.0]), 0.0, 1.0, [0.35, 0.7, 1.0],
+                        cfg)
+        assert [s.item() for s in sol.states] == want
 
     def test_out_of_interval_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -183,6 +247,33 @@ class TestBackwardIntegration:
     def test_backward_exponential_value(self):
         sol = integrate(Scalar(), Tensor([np.e]), 1.0, 0.0)
         assert abs(sol.states[-1].item() - 1.0) < 3e-3
+
+
+class TestFailureMessages:
+    """One format for every method; dopri5's bytes reach record.error,
+    stderr and sweep_summary.csv, so they are pinned."""
+
+    @pytest.mark.parametrize("method,message", [
+        ("euler", "euler: step limit 3 reached at t=0"),
+        ("rk4", "rk4: step limit 3 reached at t=0"),
+        ("dopri5", "dopri5: step limit 3 reached at t=0.0484886")])
+    def test_step_limit(self, method, message):
+        cfg = SolverConfig(method=method, max_steps=3)
+        with pytest.raises(StepLimitError) as ei:
+            integrate(Scalar(50.0), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("method,message", [
+        # the time is the one the failing step started from
+        ("euler", "euler: non-finite state at t=1"),
+        ("rk4", "rk4: non-finite state at t=0"),
+        ("dopri5", "dopri5: non-finite state at t=3.56378e-148")])
+    def test_non_finite_state(self, method, message):
+        cfg = SolverConfig(method=method, fixed_step=0.5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as ei:
+            integrate(Scalar(1e150), Tensor([1e3]), 0.0, 5.0, cfg=cfg)
+        assert str(ei.value) == message
 
 
 class TestDivergence:
@@ -249,7 +340,7 @@ class TestStepController:
         # k7 at the accepted point equals the next step's k1
         f = Scalar()
         h = Tensor([1.0])
-        h_next, err, k1, k7 = dopri5_step(f, h, 0.0, 0.1)
+        h_next, err, k7 = dopri5_step(f, h, 0.0, 0.1)
         assert np.allclose(k7.data, h_next.data)  # dh/dt = h
 
 
