@@ -35,19 +35,18 @@ class LabeledSet:
         return LabeledSet(self.inputs[idx], self.targets[idx])
 
 
+# the paper's radii: inner ball ||x|| <= R1, annulus R2 <= ||x|| <= R3
+R1, R2, R3 = 0.5, 1.0, 1.5
+
+
 @dataclass
 class SphereAnnulusConfig:
     d: int = 2
-    r1: float = 0.5
-    r2: float = 1.0
-    r3: float = 1.5
     n_inner: int = 1000
     n_outer: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.r1 < self.r2 < self.r3):
-            raise ValueError(f"need 0 < r1 < r2 < r3, got {self.r1}, {self.r2}, {self.r3}")
         if self.d < 1 or min(self.n_inner, self.n_outer) < 0:
             raise ValueError(f"need d >= 1 and n_inner, n_outer >= 0, got "
                              f"{self.d}, {self.n_inner}, {self.n_outer}")
@@ -79,11 +78,11 @@ def _uniform_ball(rng, n: int, d: int, r_lo: float, r_hi: float) -> np.ndarray:
 
 
 def gen_concentric(cfg: SphereAnnulusConfig) -> LabeledSet:
-    """Inner ball (||x|| <= r1) labeled -1; annulus (r2 <= ||x|| <= r3)
+    """Inner ball (||x|| <= R1) labeled -1; annulus (R2 <= ||x|| <= R3)
     labeled +1; uniform in volume within each region."""
     rng = np.random.default_rng(cfg.seed)
-    inner = _uniform_ball(rng, cfg.n_inner, cfg.d, 0.0, cfg.r1)
-    outer = _uniform_ball(rng, cfg.n_outer, cfg.d, cfg.r2, cfg.r3)
+    inner = _uniform_ball(rng, cfg.n_inner, cfg.d, 0.0, R1)
+    outer = _uniform_ball(rng, cfg.n_outer, cfg.d, R2, R3)
     x = np.concatenate([inner, outer])
     y = np.concatenate([-np.ones(cfg.n_inner), np.ones(cfg.n_outer)])
     return LabeledSet(x, y)

@@ -17,7 +17,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -341,7 +341,6 @@ def plan_mnist_mini(cfg: dict) -> Step:
               for kind, k, p in (("anode", k_anode, cfg["aug"]), ("node", k_node, 0))}
 
     def step(run: Run) -> None:
-        run.train = replace(run.train, loss="cross_entropy")
         counts = {k: m.param_count() for k, m in models.items()}
         print(f"parameter counts: {counts} (mismatch "
               f"{abs(counts['node'] - counts['anode']) / counts['node']:.2%})")
@@ -384,7 +383,7 @@ def plan_sweep(cfg: dict) -> Step:
     def step(run: Run) -> None:
         results = trn.grid_search(
             grid, lambda cell, seed: mdl.Model(spec(cell), seed=seed), dataset,
-            epochs=run.train.epochs, cv_folds=folds, base_cfg=run.train)
+            folds, run.train)
         keys = sorted({k for r in results for k in r.cell})
         write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
                   ((*(r.cell.get(k, "") for k in keys), fold, loss)

@@ -200,14 +200,15 @@ def _flow(model: Model, x: Tensor, times: list[float],
     """The one solve of every forward pass: the states and the dynamics
     evaluations spent.  The resnet baseline gives x and the state after each
     h <- h + f_i(h), whatever ``times``; an ODE model integrates its
-    augmented input from 0 to T, sampled at ``times``."""
+    augmented input from 0 to times[-1] (T for every caller), sampled at
+    ``times``."""
     spec = model.spec
     if spec.kind == "resnet":
         states = [x]
         for layer in model.layers:
             states.append(states[-1] + tg.mlp(states[-1], None, layer))
         return states, spec.resnet_layers
-    sol = integrate(model.dynamics, augment(x, spec.aug), 0.0, spec.T, times, cfg,
+    sol = integrate(model.dynamics, augment(x, spec.aug), 0.0, times, cfg,
                     per_sample=per_sample)
     return sol.states, sol.nfe
 
@@ -239,8 +240,7 @@ def invert_features(model: Model, feat: Tensor,
     spec = model.spec
     if spec.kind == "resnet":
         raise ValueError("resnet baseline has no backward flow")
-    sol = integrate(model.dynamics, feat, spec.T, 0.0, [0.0], cfg,
-                    per_sample=True)
+    sol = integrate(model.dynamics, feat, spec.T, [0.0], cfg, per_sample=True)
     return sol.states[-1]
 
 

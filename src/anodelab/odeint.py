@@ -11,7 +11,7 @@ control operates on detached values and is not differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -97,15 +97,14 @@ class _CountingDynamics:
         return self.f.eval(h, t)
 
 
-def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor | None = None):
-    """One Dormand-Prince attempt from (h, t) with signed step dt.
+def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
+    """One Dormand-Prince attempt from (h, t) with signed step dt, given
+    k1 = f(h, t).
 
     Returns (h_next, error_estimate_array, k7); k7 = f(h_next) is reused as
-    the next step's k1 when the step is accepted (FSAL), so an accepted step
-    after the first costs 6 new evaluations.
+    the next step's k1 when the step is accepted (FSAL), so every attempt
+    costs 6 new evaluations.
     """
-    if k1 is None:
-        k1 = f.eval(h, t)
     ks = [k1]
     for i in range(1, 7):
         y = lincomb((1.0,) + tuple(dt * a for a in _DP_A[i]), (h, *ks))
@@ -180,43 +179,32 @@ def _initial_step(f0: np.ndarray, x0: np.ndarray, span: float,
     return min(MAX_FACTOR * h0, h1, span)
 
 
-def _record(out_times, out_states, t, h, eval_times, idx, direction):
-    while idx < len(eval_times) and direction * (eval_times[idx] - t) <= 1e-12:
-        out_times.append(eval_times[idx])
-        out_states.append(h)
-        idx += 1
-    return idx
-
-
-def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
-              eval_times: list[float] | None = None,
+def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
               cfg: SolverConfig | None = None, *,
               per_sample: bool = False) -> OdeSolution:
-    """Solve dh/dt = f(h, t) from (x0, t0) to t1, sampling at eval_times.
+    """Solve dh/dt = f(h, t) from (x0, t0) to times[-1], sampling at times.
 
-    eval_times must lie within the integration interval and be ordered in the
-    direction of integration; defaults to [t1].  The computation is recorded
-    on the active CompGraph, so backward() yields gradients with respect to
-    x0 and the dynamics parameters.  per_sample makes dopri5 hold every
-    sample (leading axis) of the state to rtol/atol instead of the batch's
-    RMS error (see error_norm); the fixed-step methods ignore it.
+    times must be ordered in the direction of integration, starting from t0.
+    The computation is recorded on the active CompGraph, so backward() yields
+    gradients with respect to x0 and the dynamics parameters.  per_sample
+    makes dopri5 hold every sample (leading axis) of the state to rtol/atol
+    instead of the batch's RMS error (see error_norm); the fixed-step methods
+    ignore it.
 
-    Each output time past t0, and t1 beyond them, ends a segment.  Euler and
-    RK4 cross it in ceil(|span|/fixed_step) equal steps, all counted against
-    max_steps before the first; dopri5 in adaptive steps clipped to its end.
-    A solve with |t1 - t0| < 1e-15 returns x0 without evaluating f.
+    Each output time more than 1e-12 past the state already reached ends a
+    segment; any other is recorded with that state, without evaluating f.
+    Euler and RK4 cross a segment in ceil(|span|/fixed_step) equal steps, all
+    counted against max_steps before the first; dopri5 in adaptive steps
+    clipped to its end.
     """
     cfg = cfg or SolverConfig()
-    if eval_times is None:
-        eval_times = [t1]
-    direction = 1.0 if t1 >= t0 else -1.0
-    lo, hi = min(t0, t1), max(t0, t1)
+    if len(times) == 0:
+        raise ValueError("times must hold at least one output time")
+    direction = 1.0 if times[-1] >= t0 else -1.0
     prev = t0
-    for te in eval_times:
-        if not (lo - 1e-12 <= te <= hi + 1e-12):
-            raise ValueError(f"eval time {te} outside [{t0}, {t1}]")
+    for te in times:
         if direction * (te - prev) < 0:
-            raise ValueError("eval_times not ordered in integration direction")
+            raise ValueError("times not ordered in integration direction")
         prev = te
     if not np.all(np.isfinite(x0.data)):
         raise DivergenceError("initial state is not finite")
@@ -225,48 +213,44 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, t1: float,
     step = _STEPS[cfg.method]
     fixed = cfg.method != "dopri5"
     t, h, k1 = t0, x0, None
-    out_times: list[float] = []
-    out_states: list[Tensor] = []
-    idx = _record(out_times, out_states, t, h, eval_times, 0, direction)
-    accepted = rejected = 0
-    if idx >= len(eval_times) and abs(t1 - t0) < 1e-15:
-        return OdeSolution(out_times, out_states, 0, 0, 0)
-    if not fixed:
+    span = abs(times[-1] - t0)
+    if not fixed and span > 1e-12:
         k1 = f.eval(h, t)
         if not np.all(np.isfinite(k1.data)):
             raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
-        dt = direction * _initial_step(k1.data, x0.data, abs(t1 - t0), cfg)
-    segments = [te for te in eval_times if direction * (te - t0) > 1e-12]
-    if not segments or direction * (t1 - segments[-1]) > 1e-12:
-        segments.append(t1)
-    for target in segments:
-        if fixed:
-            n = max(1, int(np.ceil(abs(target - t) / cfg.fixed_step - 1e-12)))
-            dt, end = (target - t) / n, accepted + n
-        while (accepted < end) if fixed else (direction * (target - t) > 1e-12):
-            if (end if fixed else accepted + rejected + 1) > cfg.max_steps:
-                raise StepLimitError(f"{cfg.method}: step limit {cfg.max_steps} "
-                                     f"reached at t={t:.6g}", f.nfe)
-            dt_try = dt
-            if not fixed and direction * (t + dt - target) > 0:
-                dt_try = target - t  # clip to the output time
-            h_next, err, k_next = step(f, h, t, dt_try, k1)
-            if not np.all(np.isfinite(h_next.data)):
-                raise DivergenceError(f"{cfg.method}: non-finite state at t={t:.6g}")
-            accept = err is None
-            if not accept:
-                norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
-                accept, dt_mag = adapt_step(norm, abs(dt_try))
-                dt = direction * dt_mag
-            if accept:
-                t, h, k1 = t + dt_try, h_next, k_next  # k_next: dopri5's FSAL k7
-                accepted += 1
-            else:
-                rejected += 1
-        if fixed:
-            t = target
-        idx = _record(out_times, out_states, t, h, eval_times, idx, direction)
-    return OdeSolution(out_times, out_states, f.nfe, accepted, rejected)
+        dt = direction * _initial_step(k1.data, x0.data, span, cfg)
+    states: list[Tensor] = []
+    accepted = rejected = 0
+    for target in times:
+        if direction * (target - t) > 1e-12:  # target ends a segment
+            if fixed:
+                n = max(1, int(np.ceil(abs(target - t) / cfg.fixed_step - 1e-12)))
+                dt, end = (target - t) / n, accepted + n
+            while (accepted < end) if fixed else (direction * (target - t) > 1e-12):
+                if (end if fixed else accepted + rejected + 1) > cfg.max_steps:
+                    raise StepLimitError(f"{cfg.method}: step limit {cfg.max_steps} "
+                                         f"reached at t={t:.6g}", f.nfe)
+                dt_try = dt
+                if not fixed and direction * (t + dt - target) > 0:
+                    dt_try = target - t  # clip to the output time
+                h_next, err, k_next = step(f, h, t, dt_try, k1)
+                if not np.all(np.isfinite(h_next.data)):
+                    raise DivergenceError(f"{cfg.method}: non-finite state "
+                                          f"at t={t:.6g}")
+                accept = err is None
+                if not accept:
+                    norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
+                    accept, dt_mag = adapt_step(norm, abs(dt_try))
+                    dt = direction * dt_mag
+                if accept:
+                    t, h, k1 = t + dt_try, h_next, k_next  # k_next: dopri5's FSAL k7
+                    accepted += 1
+                else:
+                    rejected += 1
+            if fixed:
+                t = target
+        states.append(h)
+    return OdeSolution(list(times), states, f.nfe, accepted, rejected)
 
 
 def lipschitz_bound(params: ParamSet, prefix: str = "") -> float:

@@ -3,11 +3,11 @@
 The engine is tape-based: while a :class:`CompGraph` is active, every primitive
 records one node (its output tensor and its backward rule).  Leaves
 (parameters, inputs, constants) are never recorded.  ``backward`` walks the
-tape once in reverse; a gradient that reaches a leaf created with
-``requires_grad=True`` is added into its ``.grad`` buffer, and one that reaches
-any other leaf is dropped.  A tensor knows its graph only by serial number, so
-nothing refers back to a tape, and reference counting frees the tape as soon as
-its graph is unbound.
+tape once in reverse; a gradient that reaches a leaf with a ``.grad`` buffer
+(one created with ``requires_grad=True``) is added into that buffer, and one
+that reaches any other leaf is dropped.  A tensor knows its graph only by
+serial number, so nothing refers back to a tape, and reference counting frees
+the tape as soon as its graph is unbound.
 
 Only the primitives the dynamics functions and losses need are provided; there
 is no general broadcasting beyond bias addition.
@@ -90,14 +90,13 @@ class CompGraph:
 class Tensor:
     """Dense n-dimensional array of float64 with optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_serial", "_id")
+    __slots__ = ("data", "grad", "_serial", "_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf tensor contains non-finite entries")
         self.data = arr
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = np.zeros_like(arr) if requires_grad else None
         self._serial = 0        # serial number of the graph that computed it
         self._id = -1           # its node index on that graph
@@ -106,7 +105,6 @@ class Tensor:
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         t = cls.__new__(cls)
         t.data = arr
-        t.requires_grad = False
         t.grad = None
         t._serial = 0
         t._id = -1
@@ -130,7 +128,7 @@ class Tensor:
             self.grad[...] = 0.0
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.grad is not None})"
 
     def __add__(self, other):
         return add(self, other)
@@ -462,9 +460,7 @@ def backward(graph: CompGraph, loss: Tensor) -> None:
             if src._serial == serial:
                 sid = src._id
                 grads[sid] = gi if grads[sid] is None else grads[sid] + gi
-            elif src.requires_grad:
-                if src.grad is None:
-                    src.grad = np.zeros_like(src.data)
+            elif src.grad is not None:
                 src.grad += gi
 
 
@@ -490,9 +486,6 @@ class ParamSet:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._params.items()}
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: ParamSet,

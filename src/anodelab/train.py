@@ -31,7 +31,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 50
     weight_decay: float = 0.0
-    loss: str = "mse"           # "mse" or "cross_entropy"
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
@@ -44,8 +43,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError("weight_decay must be finite and >= 0")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -64,9 +61,8 @@ class EpochStats:
 @dataclass
 class TrainRecord:
     epochs: list[EpochStats] = field(default_factory=list)
-    final_params: dict[str, np.ndarray] | None = None
     error: str | None = None
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # empty; bench/tracer.py reads it
 
     CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,nfe_forward_mean,wall_ms"
 
@@ -126,8 +122,10 @@ def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
     params.zero_grad()
 
 
-def _loss_and_acc(out: Tensor, targets: np.ndarray, loss_kind: str):
-    if loss_kind == "mse":
+def _loss_and_acc(out: Tensor, targets: np.ndarray):
+    """The head's width picks the loss: MSE against +-1 targets for one
+    output, softmax cross-entropy against integer labels for more."""
+    if out.shape[-1] == 1:
         loss = tg.mse(out, targets)
         acc = float(np.mean(np.sign(out.data.reshape(-1)) == np.sign(targets)))
     else:
@@ -138,21 +136,18 @@ def _loss_and_acc(out: Tensor, targets: np.ndarray, loss_kind: str):
 
 
 def evaluate(model: Model, dataset: LabeledSet,
-             cfg: TrainConfig) -> tuple[float, float, float]:
-    """(loss, accuracy, mean forward NFE) over the dataset, no recording."""
-    tot_loss = tot_acc = tot_nfe = 0.0
-    n_batches = 0
+             cfg: TrainConfig) -> tuple[float, float]:
+    """(loss, accuracy) over the dataset, no recording."""
+    tot_loss = tot_acc = 0.0
     n = 0
     with tg.no_grad():
         for xb, yb in batches(dataset, cfg.batch_size):
-            out, nfe = node_forward(model, Tensor(xb), cfg.solver)
-            loss, acc = _loss_and_acc(out, yb, cfg.loss)
+            out, _ = node_forward(model, Tensor(xb), cfg.solver)
+            loss, acc = _loss_and_acc(out, yb)
             tot_loss += loss.item() * len(xb)
             tot_acc += acc * len(xb)
-            tot_nfe += nfe
             n += len(xb)
-            n_batches += 1
-    return tot_loss / n, tot_acc / n, tot_nfe / max(1, n_batches)
+    return tot_loss / n, tot_acc / n
 
 
 # exception that ends a fit -> the word that starts record.error
@@ -174,10 +169,7 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
     set."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
-    record = TrainRecord(metadata={"seed": cfg.seed, "kind": model.spec.kind,
-                                   "p": model.spec.aug})
-    if model.spec.kind == "resnet":
-        record.metadata["nfe_is_layer_count"] = True
+    record = TrainRecord()
     state = AdamState()
     t_start = time.perf_counter()
 
@@ -194,7 +186,7 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
                 where = f"batch {bi}"
                 with CompGraph() as g:
                     out, nfe = node_forward(model, Tensor(xb), cfg.solver)
-                    loss, acc = _loss_and_acc(out, yb, cfg.loss)
+                    loss, acc = _loss_and_acc(out, yb)
                 backward(g, loss)
                 adam_step(model.params, state, cfg)
                 tot_loss += loss.item() * len(xb)
@@ -205,18 +197,16 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
             where = "validation"
             vl = va = None
             if val_set is not None and len(val_set) > 0:
-                vl, va, _ = evaluate(model, val_set, cfg)
+                vl, va = evaluate(model, val_set, cfg)
         except tuple(FAILURES) as exc:
             what = next(w for cls, w in FAILURES.items() if isinstance(exc, cls))
             record.error = f"{what} at epoch {epoch} {where}: {exc}"
-            record.final_params = model.params.copy_values()
             return record
         wall = (time.perf_counter() - t_start) * 1000.0
         record.epochs.append(EpochStats(epoch, tot_loss / n, tot_acc / n, vl, va,
                                         tot_nfe / n_batches, wall))
         if epoch_callback is not None:
             epoch_callback(epoch + 1, model)
-    record.final_params = model.params.copy_values()
     return record
 
 
@@ -241,22 +231,20 @@ def _kfold(n: int, folds: int, seed: int):
 
 
 def grid_search(grid: dict[str, Sequence], build_model: Callable[[dict, int], Model],
-                dataset: LabeledSet, epochs: int, cv_folds: int = 3,
-                base_cfg: TrainConfig | None = None) -> list[GridCellResult]:
+                dataset: LabeledSet, cv_folds: int,
+                base_cfg: TrainConfig) -> list[GridCellResult]:
     """Evaluate the Cartesian product of the grid with k-fold cross
     validation; returns results sorted by mean validation loss.
 
-    Cell keys 'lr' and 'batch_size' override the training config; all keys are
-    passed to build_model."""
+    Cell keys 'lr' and 'batch_size' override base_cfg, which sets everything
+    else (epochs included); all keys are passed to build_model."""
     if not grid:
         raise ValueError("empty grid")
-    base_cfg = base_cfg or TrainConfig()
     keys = list(grid)
     results: list[GridCellResult] = []
     for values in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, values))
-        cfg = replace(base_cfg, epochs=epochs,
-                      lr=cell.get("lr", base_cfg.lr),
+        cfg = replace(base_cfg, lr=cell.get("lr", base_cfg.lr),
                       batch_size=cell.get("batch_size", base_cfg.batch_size))
         res = GridCellResult(cell, [])
         for fold, (tr_idx, va_idx) in enumerate(_kfold(len(dataset), cv_folds,

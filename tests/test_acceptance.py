@@ -167,7 +167,7 @@ def test_a06_non_crossing(g1d_runs):
     def violations(dynamics):
         x0 = np.linspace(-2.0, 2.0, 20)[:, None]
         with tg.no_grad():
-            sol = integrate(dynamics, Tensor(x0), 0.0, 1.0, times, SOLVER)
+            sol = integrate(dynamics, Tensor(x0), 0.0, times, SOLVER)
         traj = np.stack([s.data[:, 0] for s in sol.states], axis=1)  # (20, 50)
         count = 0
         for i in range(20):
@@ -204,8 +204,8 @@ def test_a07_gronwall_bound():
         x1 = rng.uniform(-1, 1, size=(1, 2))
         x2 = x1 + rng.uniform(-0.5, 0.5, size=(1, 2))
         with tg.no_grad():
-            s1 = integrate(dyn, Tensor(x1), 0.0, 1.0, times, SOLVER)
-            s2 = integrate(dyn, Tensor(x2), 0.0, 1.0, times, SOLVER)
+            s1 = integrate(dyn, Tensor(x1), 0.0, times, SOLVER)
+            s2 = integrate(dyn, Tensor(x2), 0.0, times, SOLVER)
         d0 = np.linalg.norm(x2 - x1)
         for t, a, b in zip(times, s1.states, s2.states):
             gap = np.linalg.norm(b.data - a.data)
@@ -230,7 +230,7 @@ def test_a08_solver_correctness():
         def eval(self, h, t):
             return tg.lincomb((self.a,), (h,))
 
-    sol = integrate(Exp(), Tensor([1.0]), 0.0, 1.0, cfg=SOLVER)
+    sol = integrate(Exp(), Tensor([1.0]), 0.0, [1.0], cfg=SOLVER)
     exp_err = abs(sol.states[-1].item() - np.e)
 
     slopes = {}
@@ -238,13 +238,13 @@ def test_a08_solver_correctness():
         errs, hs = [], [0.2, 0.1, 0.05, 0.025]
         for h in hs:
             cfg = SolverConfig(method=method, fixed_step=h)
-            s = integrate(Exp(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+            s = integrate(Exp(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
             errs.append(abs(s.states[-1].item() - np.e))
         slopes[method] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
     identity_ok = True
     for a in (0.5, 2.0, -3.0, 8.0):
-        s = integrate(Scalar(a), Tensor([1.0]), 0.0, 1.0, cfg=SOLVER)
+        s = integrate(Scalar(a), Tensor([1.0]), 0.0, [1.0], cfg=SOLVER)
         if s.nfe != 1 + 6 * (s.steps_accepted + s.steps_rejected):
             identity_ok = False
 
@@ -310,7 +310,7 @@ def test_a10_mnist_mini():
             model = Model(ModelSpec(kind=kind, input_dim=1, p=p, hidden_dim=k,
                                     output_dim=2, conv=True), seed=seed)
             cfg = TrainConfig(lr=1e-3, batch_size=64, epochs=3, seed=seed,
-                              loss="cross_entropy", solver=SOLVER)
+                              solver=SOLVER)
             rec = fit(model, train_set, test_set, cfg)
             assert rec.error is None, rec.error
             losses = rec.metric("train_loss")
@@ -330,17 +330,15 @@ def test_a10_mnist_mini():
 def test_a11_p0_degeneracy():
     ds = gen_g1d(32, seed=0)
     cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=5, seed=0, solver=SOLVER)
-    recs = {}
+    recs, models = {}, {}
     for kind in ("node", "anode"):
-        model = Model(ModelSpec(kind=kind, input_dim=1, p=0, hidden_dim=16,
-                                output_dim=1), seed=0)
-        recs[kind] = fit(model, ds, ds, cfg)
+        models[kind] = Model(ModelSpec(kind=kind, input_dim=1, p=0, hidden_dim=16,
+                                       output_dim=1), seed=0)
+        recs[kind] = fit(models[kind], ds, ds, cfg)
     rows_equal = (recs["node"].deterministic_rows()
                   == recs["anode"].deterministic_rows())
-    params_equal = all(
-        np.array_equal(recs["node"].final_params[k],
-                       recs["anode"].final_params[k])
-        for k in recs["node"].final_params)
+    params_equal = all(np.array_equal(t.data, models["anode"].params[k].data)
+                       for k, t in models["node"].params.items())
     ok = rows_equal and params_equal
     report("A11", ok, f"bitwise identical records: metric rows "
                       f"{'match' if rows_equal else 'differ'}, final "
@@ -358,8 +356,8 @@ def test_a12_sweep_consistency():
                                hidden_dim=cell["hidden"], output_dim=1),
                      seed=seed)
 
-    results = grid_search(grid, build, dataset, epochs=5, cv_folds=3,
-                          base_cfg=TrainConfig(seed=0, solver=SOLVER))
+    results = grid_search(grid, build, dataset, 3,
+                          TrainConfig(epochs=5, seed=0, solver=SOLVER))
     assert len(results) == 36
     best = results[0]
     ref_cell = {"batch_size": 64, "lr": 1e-3, "hidden": 32, "aug": 5}

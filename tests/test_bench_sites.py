@@ -42,8 +42,29 @@ def test_calls_outside_sites(tmp_path):
         out, nfe = models.node_forward(model, tensorgrad.Tensor(images))
     assert out.shape == (2, 2) and nfe > 0
     record = train.fit(model, data.LabeledSet(images, np.array([0, 1])), None,
-                       train.TrainConfig(epochs=1, loss="cross_entropy"))
+                       train.TrainConfig(epochs=1))
     assert record.metadata.get("skipped_batches", 0) == 0
+
+
+def test_integrate_hook_reads_cfg_by_position():
+    """The tracer finds integrate's ``cfg`` by binding the call to its
+    signature: only the dopri5 solve counts toward dopri5_solves and its NFE
+    identity, also when cfg is passed by position."""
+    from anodelab import odeint, tensorgrad as tg
+
+    class Exp:
+        def eval(self, h, t):
+            return tg.lincomb((1.0,), (h,))
+
+    tracer = _load_tracer().Tracer()
+    after = tracer._integrate_hook(odeint.integrate)
+    for method in ("rk4", "dopri5"):
+        args = (Exp(), tg.Tensor([1.0]), 0.0, [0.5, 1.0],
+                odeint.SolverConfig(method=method))
+        after(args, {}, odeint.integrate(*args))
+    assert tracer.c["dopri5_solves"] == 1
+    assert tracer.c["nfe_identity_violations"] == 0
+    assert tracer.c["nfe"] > 40  # both solves: rk4 alone spends 40
 
 
 @pytest.mark.parametrize("site", [s.site for s in SITES])

@@ -35,6 +35,17 @@ class Scalar:
         return tg.lincomb((self.a,), (h,))
 
 
+class _CountingTimes:
+    """Passes evaluations through to f and keeps the times they ask for."""
+
+    def __init__(self, f):
+        self.f, self.seen = f, []
+
+    def eval(self, h, t):
+        self.seen.append(t)
+        return self.f.eval(h, t)
+
+
 class TimeOnly:
     """dh/dt = cos(t): exact solution sin(t) + C, independent of state."""
 
@@ -71,28 +82,28 @@ class TestSolverConfig:
 
 class TestAccuracy:
     def test_exponential_dopri5(self):
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0])
         assert abs(sol.states[-1].item() - np.e) < 3e-3
 
     def test_exponential_tight_tolerance(self):
         cfg = SolverConfig(rtol=1e-8, atol=1e-8)
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert abs(sol.states[-1].item() - np.e) < 1e-7
 
     def test_rotation_dopri5(self):
         # quarter turn of the harmonic oscillator maps (1, 0) to (0, 1)
         sol = integrate(Linear([[0.0, -1.0], [1.0, 0.0]]),
-                        Tensor([[1.0, 0.0]]), 0.0, np.pi / 2)
+                        Tensor([[1.0, 0.0]]), 0.0, [np.pi / 2])
         assert np.allclose(sol.states[-1].data, [[0.0, 1.0]], atol=5e-3)
 
     def test_time_dependent_rhs(self):
-        sol = integrate(TimeOnly(), Tensor([0.0]), 0.0, 2.0)
+        sol = integrate(TimeOnly(), Tensor([0.0]), 0.0, [2.0])
         assert abs(sol.states[-1].item() - np.sin(2.0)) < 3e-3
 
     @pytest.mark.parametrize("method,tol", [("euler", 0.2), ("rk4", 1e-5)])
     def test_fixed_step_exponential(self, method, tol):
         cfg = SolverConfig(method=method, fixed_step=0.1)
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert abs(sol.states[-1].item() - np.e) < tol
 
     @pytest.mark.parametrize("method,order,slack", [("euler", 1.0, 0.2),
@@ -101,7 +112,7 @@ class TestAccuracy:
         errs, hs = [], [0.2, 0.1, 0.05, 0.025]
         for h in hs:
             cfg = SolverConfig(method=method, fixed_step=h)
-            sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+            sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
             errs.append(abs(sol.states[-1].item() - np.e))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - order) < slack
@@ -112,7 +123,7 @@ class TestAccounting:
         for per_sample in (False, True):
             for x0 in (Tensor([1.0]), Tensor([[1.0], [0.5]])):
                 for a in (0.5, 3.0, -2.0):
-                    sol = integrate(Scalar(a), x0, 0.0, 1.0,
+                    sol = integrate(Scalar(a), x0, 0.0, [1.0],
                                     per_sample=per_sample)
                     assert sol.nfe == 1 + 6 * (sol.steps_accepted
                                                + sol.steps_rejected)
@@ -127,41 +138,51 @@ class TestAccounting:
     ])
     def test_dopri5_exact_counts(self, a, counts):
         # the four problems of A8's NFE identity check
-        sol = integrate(Scalar(a), Tensor([1.0]), 0.0, 1.0)
+        sol = integrate(Scalar(a), Tensor([1.0]), 0.0, [1.0])
         assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
 
     def test_euler_one_eval_per_step(self):
         cfg = SolverConfig(method="euler", fixed_step=0.25)
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert sol.steps_accepted == 4 and sol.nfe == 4
 
     def test_rk4_four_evals_per_step(self):
         cfg = SolverConfig(method="rk4", fixed_step=0.25)
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert sol.steps_accepted == 4 and sol.nfe == 16
 
     def test_step_limit_carries_nfe(self):
         cfg = SolverConfig(max_steps=3)
         with pytest.raises(StepLimitError) as ei:
-            integrate(Scalar(50.0), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+            integrate(Scalar(50.0), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert ei.value.nfe >= 1
 
     @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
     def test_zero_length_solve_spends_nothing(self, method):
         x0 = Tensor([[0.5], [-2.0]])
-        for times in (None, [0.4], [0.4, 0.4]):
-            sol = integrate(Scalar(), x0, 0.4, 0.4, times,
+        for times in ([0.4], [0.4, 0.4]):
+            sol = integrate(Scalar(), x0, 0.4, times,
                             SolverConfig(method=method))
             assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == (0, 0, 0)
-            assert sol.times == (times or [0.4])
+            assert sol.times == times
             assert all(s is x0 for s in sol.states)
+
+    @pytest.mark.parametrize("method,counts", [
+        ("euler", (5, 5, 0)), ("rk4", (20, 5, 0)), ("dopri5", (13, 2, 0))])
+    def test_repeated_time_spends_nothing(self, method, counts):
+        # the second 0.5 ends no segment: Euler and RK4 took one more
+        # zero-length step for it (6 and 24 evaluations)
+        cfg = SolverConfig(method=method, fixed_step=0.1)
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [0.5, 0.5], cfg)
+        assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
+        assert sol.times == [0.5, 0.5] and sol.states[0] is sol.states[1]
 
     @pytest.mark.parametrize("method,counts", [
         ("euler", (10, 10, 0)), ("rk4", (40, 10, 0)), ("dopri5", (25, 4, 0))])
     def test_segment_counts(self, method, counts):
         # segments of 3, 4 and 3 fixed steps end at the output times
         cfg = SolverConfig(method=method, fixed_step=0.1)
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [0.0, 0.3, 0.7, 1.0],
+        sol = integrate(Scalar(), Tensor([1.0]), 0.0, [0.0, 0.3, 0.7, 1.0],
                         cfg)
         assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
 
@@ -171,7 +192,7 @@ class TestAccounting:
         # the solve stops before stepping into it
         cfg = SolverConfig(method=method, fixed_step=0.1, max_steps=5)
         with pytest.raises(StepLimitError) as ei:
-            integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [0.0, 0.3, 0.7, 1.0],
+            integrate(Scalar(), Tensor([1.0]), 0.0, [0.0, 0.3, 0.7, 1.0],
                       cfg)
         assert ei.value.nfe == nfe
         assert str(ei.value) == f"{method}: step limit 5 reached at t=0.3"
@@ -181,13 +202,15 @@ class TestAccounting:
            st.floats(0.05, 0.5), st.floats(-2.0, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_one_loop_properties(self, method, forward, times, fixed_step, a):
-        t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+        t0 = 0.0 if forward else 1.0
         times = sorted(times, reverse=not forward)
         cfg = SolverConfig(method=method, fixed_step=fixed_step)
-        sol = integrate(Scalar(a), Tensor([[1.0], [0.3]]), t0, t1, times, cfg)
+        sol = integrate(Scalar(a), Tensor([[1.0], [0.3]]), t0, times, cfg)
         assert sol.times == times
         if method == "dopri5":
-            assert sol.nfe == 1 + 6 * (sol.steps_accepted + sol.steps_rejected)
+            # the first k1 is spent only on a solve longer than 1e-12
+            k1 = abs(times[-1] - t0) > 1e-12
+            assert sol.nfe == k1 + 6 * (sol.steps_accepted + sol.steps_rejected)
         else:
             stages = 1 if method == "euler" else 4
             assert sol.nfe == stages * sol.steps_accepted
@@ -199,7 +222,7 @@ class TestEvalTimes:
         times = [0.0, 0.3, 0.7, 1.0]
         for method in ("euler", "rk4", "dopri5"):
             cfg = SolverConfig(method=method, fixed_step=0.1)
-            sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, times, cfg)
+            sol = integrate(Scalar(), Tensor([1.0]), 0.0, times, cfg)
             assert sol.times == times
             vals = np.array([s.item() for s in sol.states])
             assert np.allclose(vals, np.exp(times), atol=0.2)
@@ -216,21 +239,23 @@ class TestEvalTimes:
             t = target
             want.append(h)
         cfg = SolverConfig(method="euler", fixed_step=0.1)
-        sol = integrate(TimeOnly(), Tensor([0.0]), 0.0, 1.0, [0.35, 0.7, 1.0],
+        sol = integrate(TimeOnly(), Tensor([0.0]), 0.0, [0.35, 0.7, 1.0],
                         cfg)
         assert [s.item() for s in sol.states] == want
 
-    def test_out_of_interval_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [1.5])
-
     def test_unordered_rejected(self):
         with pytest.raises(ValueError, match="ordered"):
-            integrate(Scalar(), Tensor([1.0]), 0.0, 1.0, [0.7, 0.3])
+            integrate(Scalar(), Tensor([1.0]), 0.0, [0.7, 0.3])
 
-    def test_default_is_endpoint(self):
-        sol = integrate(Scalar(), Tensor([1.0]), 0.0, 1.0)
-        assert sol.times == [1.0]
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            integrate(Scalar(), Tensor([1.0]), 0.0, [])
+
+    def test_solve_ends_at_last_time(self):
+        f = _CountingTimes(Scalar())
+        sol = integrate(f, Tensor([1.0]), 0.0, [0.25, 0.5])
+        assert sol.times == [0.25, 0.5] and max(f.seen) == 0.5
+        assert abs(sol.states[-1].item() - np.exp(0.5)) < 3e-3
 
 
 class TestBackwardIntegration:
@@ -240,12 +265,12 @@ class TestBackwardIntegration:
         cfg = SolverConfig(method=method, fixed_step=0.05)
         f = Linear([[0.0, -1.0], [1.0, 0.0]])
         x0 = Tensor([[0.8, -0.3]])
-        fwd = integrate(f, x0, 0.0, 1.0, cfg=cfg)
-        back = integrate(f, fwd.states[-1], 1.0, 0.0, cfg=cfg)
+        fwd = integrate(f, x0, 0.0, [1.0], cfg=cfg)
+        back = integrate(f, fwd.states[-1], 1.0, [0.0], cfg=cfg)
         assert np.allclose(back.states[-1].data, x0.data, atol=atol)
 
     def test_backward_exponential_value(self):
-        sol = integrate(Scalar(), Tensor([np.e]), 1.0, 0.0)
+        sol = integrate(Scalar(), Tensor([np.e]), 1.0, [0.0])
         assert abs(sol.states[-1].item() - 1.0) < 3e-3
 
 
@@ -260,7 +285,7 @@ class TestFailureMessages:
     def test_step_limit(self, method, message):
         cfg = SolverConfig(method=method, max_steps=3)
         with pytest.raises(StepLimitError) as ei:
-            integrate(Scalar(50.0), Tensor([1.0]), 0.0, 1.0, cfg=cfg)
+            integrate(Scalar(50.0), Tensor([1.0]), 0.0, [1.0], cfg=cfg)
         assert str(ei.value) == message
 
     @pytest.mark.parametrize("method,message", [
@@ -272,7 +297,7 @@ class TestFailureMessages:
         cfg = SolverConfig(method=method, fixed_step=0.5)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as ei:
-            integrate(Scalar(1e150), Tensor([1e3]), 0.0, 5.0, cfg=cfg)
+            integrate(Scalar(1e150), Tensor([1e3]), 0.0, [5.0], cfg=cfg)
         assert str(ei.value) == message
 
 
@@ -281,13 +306,13 @@ class TestDivergence:
         cfg = SolverConfig(method="euler", fixed_step=0.5)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             # the rate 1e200 * h overflows on the second step
-            integrate(Scalar(1e200), Tensor([1e3]), 0.0, 5.0, cfg=cfg)
+            integrate(Scalar(1e200), Tensor([1e3]), 0.0, [5.0], cfg=cfg)
 
     def test_non_finite_initial_state(self):
         bad = Tensor([1.0])
         bad.data[0] = np.inf
         with pytest.raises(DivergenceError):
-            integrate(Scalar(), bad, 0.0, 1.0)
+            integrate(Scalar(), bad, 0.0, [1.0])
 
 
 class TestStepController:
@@ -328,7 +353,7 @@ class TestStepController:
 
         def row0_error(rates, per_sample):
             x0 = Tensor(np.ones((len(rates), 1)))
-            sol = integrate(Rates(rates), x0, 0.0, 1.0, per_sample=per_sample)
+            sol = integrate(Rates(rates), x0, 0.0, [1.0], per_sample=per_sample)
             return abs(sol.states[-1].data[0, 0] - np.exp(8.0)) / unit
 
         alone = row0_error(a[:1], True)
@@ -340,7 +365,7 @@ class TestStepController:
         # k7 at the accepted point equals the next step's k1
         f = Scalar()
         h = Tensor([1.0])
-        h_next, err, k7 = dopri5_step(f, h, 0.0, 0.1)
+        h_next, err, k7 = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
         assert np.allclose(k7.data, h_next.data)  # dh/dt = h
 
 
@@ -378,7 +403,7 @@ class TestDifferentiation:
         cfg = SolverConfig(method=method, fixed_step=0.05)
         x0 = Tensor([2.0], requires_grad=True)
         with CompGraph() as g:
-            sol = integrate(Scalar(a), x0, 0.0, T, cfg=cfg)
+            sol = integrate(Scalar(a), x0, 0.0, [T], cfg=cfg)
             loss = tg.mse(sol.states[-1], np.zeros(1))
         backward(g, loss)
         # d loss/d x0 = 2 * final * d final/d x0
@@ -397,7 +422,7 @@ class TestDifferentiation:
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
 
         def loss_fn():
-            sol = integrate(P(), Tensor(x), 0.0, 1.0, cfg=cfg)
+            sol = integrate(P(), Tensor(x), 0.0, [1.0], cfg=cfg)
             return tg.mse(sol.states[-1], np.zeros(x.shape))
 
         assert tg.grad_check(loss_fn, params) < 1e-5
