@@ -248,7 +248,8 @@ def flow_trajectory(model: Model, points: np.ndarray, n_times: int,
                     cfg: SolverConfig | None = None,
                     labels: np.ndarray | None = None) -> FlowSnapshot:
     """States of every point at n_times uniform times in [0, T], in the
-    (augmented) state space."""
+    (augmented) state space.  With dopri5 this is node_forward's solve on the
+    same points (same NFE, same state at T), the earlier times dense output."""
     if n_times < 2:
         raise ValueError("n_times must be >= 2")
     spec = model.spec

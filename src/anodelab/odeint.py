@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .tensorgrad import ParamSet, Tensor, lincomb
+from .tensorgrad import Tensor, lincomb
 
 
 class StepLimitError(RuntimeError):
@@ -83,6 +83,14 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# 4th-order continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
+# sec. II.6, their DOPRI5 code): h(t + theta*dt) = h + dt * sum_i w_i k_i with
+# w = theta * (1, s, theta*s, theta*s^2) @ _DP_DENSE, s = 1 - theta
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
+_DP_DENSE = np.array([_DP_B5, np.eye(7)[0] - _DP_B5,
+                      2 * np.array(_DP_B5) - np.eye(7)[0] - np.eye(7)[6], _DP_D])
 
 
 class _CountingDynamics:
@@ -101,9 +109,9 @@ def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
     """One Dormand-Prince attempt from (h, t) with signed step dt, given
     k1 = f(h, t).
 
-    Returns (h_next, error_estimate_array, k7); k7 = f(h_next) is reused as
-    the next step's k1 when the step is accepted (FSAL), so every attempt
-    costs 6 new evaluations.
+    Returns (h_next, error_estimate_array, ks), the seven stages; the last,
+    k7 = f(h_next), is reused as the next step's k1 when the step is accepted
+    (FSAL), so every attempt costs 6 new evaluations.
     """
     ks = [k1]
     for i in range(1, 7):
@@ -111,7 +119,7 @@ def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
         ks.append(f.eval(y, t + _DP_C[i] * dt))
     h_next = lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
     err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
-    return h_next, err, ks[6]
+    return h_next, err, ks
 
 
 def _euler_step(f, h, t, dt, _k1):
@@ -127,8 +135,8 @@ def _rk4_step(f, h, t, dt, _k1):
             None, None)
 
 
-# step(f, h, t, dt, k1) -> (h_next, err, k_next): dopri5's local error
-# estimate and its derivative at h_next (the FSAL k1), None for Euler and RK4
+# step(f, h, t, dt, k1) -> (h_next, err, ks): dopri5's local error estimate
+# and its seven stages, ks[-1] the FSAL k1 at h_next; None for Euler and RK4
 _STEPS = {"euler": _euler_step, "rk4": _rk4_step, "dopri5": dopri5_step}
 
 
@@ -191,11 +199,14 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     instead of the batch's RMS error (see error_norm); the fixed-step methods
     ignore it.
 
-    Each output time more than 1e-12 past the state already reached ends a
-    segment; any other is recorded with that state, without evaluating f.
-    Euler and RK4 cross a segment in ceil(|span|/fixed_step) equal steps, all
-    counted against max_steps before the first; dopri5 in adaptive steps
-    clipped to its end.
+    An output time within 1e-12 of the state already reached is recorded
+    with that state, without evaluating f.  Euler and RK4 end a segment at
+    every other output time and cross it in ceil(|span|/fixed_step) equal
+    steps, all counted against max_steps before the first.  dopri5 clips its
+    adaptive steps only at times[-1], so its steps, NFE and last state are
+    those of the solve to times[-1] alone; an accepted step records each
+    output time it passed, within 1e-12 of its end as its end state, else by
+    the 4th-order continuous extension (one lincomb, no evaluation).
     """
     cfg = cfg or SolverConfig()
     if len(times) == 0:
@@ -220,8 +231,23 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
             raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
         dt = direction * _initial_step(k1.data, x0.data, span, cfg)
     states: list[Tensor] = []
+
+    def record(t_end, h_end, ks=None):
+        # every output time up to t_end: h_end within 1e-12 of t_end, an
+        # earlier one dopri5's dense output on the step (t, h) -> t_end
+        while (len(states) < len(times)
+               and direction * (times[len(states)] - t_end) <= 1e-12):
+            te = times[len(states)]
+            if direction * (t_end - te) <= 1e-12:
+                states.append(h_end)
+            else:
+                th = (te - t) / (t_end - t)
+                w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
+                states.append(lincomb((1.0, *(t_end - t) * (w @ _DP_DENSE)), (h, *ks)))
+
+    record(t, h)
     accepted = rejected = 0
-    for target in times:
+    for target in (times if fixed else times[-1:]):
         if direction * (target - t) > 1e-12:  # target ends a segment
             if fixed:
                 n = max(1, int(np.ceil(abs(target - t) / cfg.fixed_step - 1e-12)))
@@ -232,8 +258,8 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                                          f"reached at t={t:.6g}", f.nfe)
                 dt_try = dt
                 if not fixed and direction * (t + dt - target) > 0:
-                    dt_try = target - t  # clip to the output time
-                h_next, err, k_next = step(f, h, t, dt_try, k1)
+                    dt_try = target - t  # clip to the last output time
+                h_next, err, ks = step(f, h, t, dt_try, k1)
                 if not np.all(np.isfinite(h_next.data)):
                     raise DivergenceError(f"{cfg.method}: non-finite state "
                                           f"at t={t:.6g}")
@@ -243,23 +269,13 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                     accept, dt_mag = adapt_step(norm, abs(dt_try))
                     dt = direction * dt_mag
                 if accept:
-                    t, h, k1 = t + dt_try, h_next, k_next  # k_next: dopri5's FSAL k7
+                    if not fixed:
+                        record(t + dt_try, h_next, ks)
+                    t, h, k1 = t + dt_try, h_next, ks and ks[-1]  # dopri5's FSAL k7
                     accepted += 1
                 else:
                     rejected += 1
             if fixed:
                 t = target
-        states.append(h)
+                record(t, h)
     return OdeSolution(list(times), states, f.nfe, accepted, rejected)
-
-
-def lipschitz_bound(params: ParamSet, prefix: str = "") -> float:
-    """Upper bound on the Lipschitz constant of an MLP with 1-Lipschitz
-    activations: product of layer-weight Frobenius norms."""
-    c = 1.0
-    seen = False
-    for name, t in params.items():
-        if name.startswith(prefix) and name.endswith(".w"):
-            c *= float(np.linalg.norm(t.data))
-            seen = True
-    return c if seen else 0.0

@@ -181,23 +181,25 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
         n_batches = 0
         shuffle_seed = (cfg.seed * 1_000_003 + epoch) & 0x7FFFFFFF
         try:
-            for bi, (xb, yb) in enumerate(batches(train_set, cfg.batch_size,
-                                                  shuffle_seed)):
-                where = f"batch {bi}"
-                with CompGraph() as g:
-                    out, nfe = node_forward(model, Tensor(xb), cfg.solver)
-                    loss, acc = _loss_and_acc(out, yb)
-                backward(g, loss)
-                adam_step(model.params, state, cfg)
-                tot_loss += loss.item() * len(xb)
-                tot_acc += acc * len(xb)
-                tot_nfe += nfe
-                n += len(xb)
-                n_batches += 1
-            where = "validation"
-            vl = va = None
-            if val_set is not None and len(val_set) > 0:
-                vl, va = evaluate(model, val_set, cfg)
+            # a diverging batch reports its failure line, not NumPy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for bi, (xb, yb) in enumerate(batches(train_set, cfg.batch_size,
+                                                      shuffle_seed)):
+                    where = f"batch {bi}"
+                    with CompGraph() as g:
+                        out, nfe = node_forward(model, Tensor(xb), cfg.solver)
+                        loss, acc = _loss_and_acc(out, yb)
+                    backward(g, loss)
+                    adam_step(model.params, state, cfg)
+                    tot_loss += loss.item() * len(xb)
+                    tot_acc += acc * len(xb)
+                    tot_nfe += nfe
+                    n += len(xb)
+                    n_batches += 1
+                where = "validation"
+                vl = va = None
+                if val_set is not None and len(val_set) > 0:
+                    vl, va = evaluate(model, val_set, cfg)
         except tuple(FAILURES) as exc:
             what = next(w for cls, w in FAILURES.items() if isinstance(exc, cls))
             record.error = f"{what} at epoch {epoch} {where}: {exc}"

@@ -19,7 +19,7 @@ from anodelab.data import (LabeledSet, SphereAnnulusConfig, angular_split,
 from anodelab.models import (Model, ModelSpec, MlpDynamics, features,
                              invert_features, match_conv_filters, node_forward,
                              param_count)
-from anodelab.odeint import SolverConfig, integrate, lipschitz_bound
+from anodelab.odeint import SolverConfig, integrate
 from anodelab.tensorgrad import ParamSet, Tensor, grad_check
 from anodelab.train import TrainConfig, fit, grid_search
 
@@ -189,6 +189,34 @@ def test_a06_non_crossing(g1d_runs):
     report("A6", ok, f"ordering violations beyond 10*atol: {total} across 50 "
                      f"random 1-d dynamics, {trained} across trained 1-d "
                      f"flows (need 0)")
+
+
+def lipschitz_bound(params: ParamSet, prefix: str = "") -> float:
+    """A7's helper: an upper bound on the Lipschitz constant of an MLP with
+    1-Lipschitz activations, the product of its layer-weight Frobenius
+    norms."""
+    c = 1.0
+    seen = False
+    for name, t in params.items():
+        if name.startswith(prefix) and name.endswith(".w"):
+            c *= float(np.linalg.norm(t.data))
+            seen = True
+    return c if seen else 0.0
+
+
+class TestLipschitzBound:
+    def test_product_of_frobenius_norms(self):
+        p = ParamSet()
+        p.add("dyn.l1.w", np.array([[3.0, 0.0], [0.0, 4.0]]))  # norm 5
+        p.add("dyn.l1.b", np.zeros(2))
+        p.add("dyn.l2.w", np.array([[2.0]]))                   # norm 2
+        assert np.isclose(lipschitz_bound(p), 10.0)
+
+    def test_prefix_filter_and_empty(self):
+        p = ParamSet()
+        p.add("other.w", np.array([[7.0]]))
+        assert lipschitz_bound(p, prefix="dyn") == 0.0
+        assert np.isclose(lipschitz_bound(p, prefix="other"), 7.0)
 
 
 def test_a07_gronwall_bound():

@@ -8,6 +8,7 @@ import math
 import runpy
 import struct
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -665,6 +666,21 @@ class TestSolverFailure:
         assert "solver failure:" not in err
         assert (out / "node_train.csv").exists() and (out / "node.ckpt").exists()
         assert not (out / "node_flow.csv").exists()
+
+    def test_diverging_batch_prints_only_the_failure_line(self, tmp_path,
+                                                          capsys):
+        # the blow-up overflows matmuls and sums on its way to the
+        # non-finite state; NumPy's warnings for that stay silent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["toy", "--dim", "2", "--model", "node", "--lr", "1e3",
+                        "--epochs", "2", "--hidden", "8",
+                        "--out", str(tmp_path / "toy")]) == EXIT_TRAINING
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "node: training failed: divergence at epoch 0 batch 1: dopri5: "
+            "non-finite state at t=")
 
 
 # every int config key of every command, set to 0 and to -1; key None is the

@@ -13,7 +13,7 @@ from anodelab.models import (Model, ModelSpec, augment, features,
                              flow_trajectory, invert_features,
                              match_conv_filters, node_forward, param_count,
                              param_shapes, vector_field)
-from anodelab.odeint import SolverConfig
+from anodelab.odeint import SolverConfig, _CountingDynamics
 from anodelab.tensorgrad import Tensor
 
 
@@ -246,6 +246,22 @@ class TestTrajectoriesAndField:
         snap = flow_trajectory(m, np.zeros((6, 2)), 5)
         assert snap.states.shape == (6, 5, 3)
         assert snap.times[0] == 0.0 and snap.times[-1] == m.spec.T
+
+    @pytest.mark.parametrize("kind,p", [("node", 0), ("anode", 5)])
+    def test_flow_trajectory_takes_node_forward_steps(self, kind, p):
+        # 25 output times cost no evaluation beyond the solve to T, and the
+        # flow ends bit for bit where node_forward's solve ends
+        ds = gen_concentric(SphereAnnulusConfig(d=2, seed=0))
+        x = ds.inputs[:64]
+        m = Model(ModelSpec(kind=kind, input_dim=2, p=p, hidden_dim=32,
+                            output_dim=1), seed=0)
+        m.dynamics = _CountingDynamics(m.dynamics)
+        snap = flow_trajectory(m, x, 25)
+        flow_nfe = m.dynamics.nfe
+        with tg.no_grad():
+            out, nfe = node_forward(m, Tensor(x))
+        assert flow_nfe == nfe == m.dynamics.nfe - flow_nfe
+        assert np.array_equal(m.head(Tensor(snap.states[:, -1])).data, out.data)
 
     def test_flow_trajectory_resnet_layer_boundaries(self):
         m = Model(ModelSpec(kind="resnet", resnet_layers=4, input_dim=2,

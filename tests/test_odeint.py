@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from anodelab import tensorgrad as tg
 from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
                              SolverConfig, StepLimitError, _initial_step,
-                             adapt_step, dopri5_step, error_norm, integrate,
-                             lipschitz_bound)
+                             adapt_step, dopri5_step, error_norm, integrate)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
 
 
@@ -178,13 +177,18 @@ class TestAccounting:
         assert sol.times == [0.5, 0.5] and sol.states[0] is sol.states[1]
 
     @pytest.mark.parametrize("method,counts", [
-        ("euler", (10, 10, 0)), ("rk4", (40, 10, 0)), ("dopri5", (25, 4, 0))])
+        ("euler", (10, 10, 0)), ("rk4", (40, 10, 0)), ("dopri5", (13, 2, 0))])
     def test_segment_counts(self, method, counts):
-        # segments of 3, 4 and 3 fixed steps end at the output times
+        # segments of 3, 4 and 3 fixed steps end at the output times; dopri5
+        # takes the steps of the solve to 1.0 alone (clipping a step at each
+        # output time took (25, 4, 0)) and interpolates 0.3 and 0.7
         cfg = SolverConfig(method=method, fixed_step=0.1)
         sol = integrate(Scalar(), Tensor([1.0]), 0.0, [0.0, 0.3, 0.7, 1.0],
                         cfg)
         assert (sol.nfe, sol.steps_accepted, sol.steps_rejected) == counts
+        if method == "dopri5":
+            one = integrate(Scalar(), Tensor([1.0]), 0.0, [1.0], cfg)
+            assert counts == (one.nfe, one.steps_accepted, one.steps_rejected)
 
     @pytest.mark.parametrize("method,nfe", [("euler", 3), ("rk4", 12)])
     def test_fixed_segment_fits_step_limit_whole(self, method, nfe):
@@ -256,6 +260,68 @@ class TestEvalTimes:
         sol = integrate(f, Tensor([1.0]), 0.0, [0.25, 0.5])
         assert sol.times == [0.25, 0.5] and max(f.seen) == 0.5
         assert abs(sol.states[-1].item() - np.exp(0.5)) < 3e-3
+
+
+class TestDenseOutput:
+    """dopri5 clips its steps only at the last output time and reads the
+    others off the step that passed them (4th-order continuous extension)."""
+
+    @given(st.booleans(), st.lists(st.floats(0.0, 2.0), min_size=1,
+                                   max_size=8),
+           st.floats(-3.0, 3.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_times_leave_the_steps_alone(self, forward, times, a, per_sample):
+        t0 = 0.0 if forward else 2.0
+        times = sorted(times, reverse=not forward)
+        x0 = Tensor([[1.0], [-0.4], [2.5]])
+        f = Rates([a, 0.5 * a, -a])
+        sol = integrate(f, x0, t0, times, per_sample=per_sample)
+        one = integrate(f, x0, t0, times[-1:], per_sample=per_sample)
+        assert sol.times == times and len(sol.states) == len(times)
+        assert ((sol.nfe, sol.steps_accepted, sol.steps_rejected)
+                == (one.nfe, one.steps_accepted, one.steps_rejected))
+        assert np.array_equal(sol.states[-1].data, one.states[-1].data)
+        for te, s in zip(times, sol.states):
+            if abs(te - t0) <= 1e-12:
+                assert s is x0
+            want = x0.data * np.exp(np.array([[a], [0.5 * a], [-a]]) * (te - t0))
+            assert np.allclose(s.data, want, rtol=1e-2, atol=1e-2)
+
+    @pytest.mark.parametrize("theta", [1 / 3, 0.5, 0.7])
+    def test_interior_error_is_fifth_order_locally(self, theta):
+        # one step of length dt on dh/dt = h (the first step is 0.1).  The
+        # 4th-order interpolant's error at theta*dt is O(dt^5): it shrinks
+        # about 2^5-fold per halving (30-31 here).  The cubic Hermite
+        # interpolant through the same end values and slopes gives 2^4.
+        errs = []
+        for dt in (0.1, 0.05, 0.025):
+            sol = integrate(Scalar(), Tensor([1.0]), 0.0, [theta * dt, dt])
+            assert (sol.steps_accepted, sol.steps_rejected) == (1, 0)
+            errs.append(abs(sol.states[0].item() - np.exp(theta * dt)))
+        assert errs[0] / errs[1] >= 2 ** 4.5 and errs[1] / errs[2] >= 2 ** 4.5
+
+    def test_grad_through_interpolated_state(self):
+        # 0.37 lies inside the first of two steps, and the loss reads only
+        # the interpolated state there
+        params = ParamSet()
+        params.add("A", np.array([[0.05, -0.1], [0.1, 0.05]]))
+
+        class P:
+            def eval(self, h, t):
+                return tg.matmul(h, params["A"])
+
+        x = np.array([[1.0, -0.5], [0.2, 0.9]])
+        cfg = SolverConfig(rtol=0.1, atol=0.1)
+        f = _CountingTimes(P())
+        sol = integrate(f, Tensor(x), 0.0, [0.37, 1.0], cfg=cfg)
+        assert (sol.steps_accepted, sol.steps_rejected) == (2, 0)
+        assert min(abs(t - 0.37) for t in f.seen) > 1e-3
+
+        def loss_fn():
+            sol = integrate(P(), Tensor(x), 0.0, [0.37, 1.0], cfg=cfg)
+            return tg.mse(sol.states[0], np.zeros(x.shape))
+
+        assert tg.grad_check(loss_fn, params) < 1e-6
 
 
 class TestBackwardIntegration:
@@ -362,11 +428,14 @@ class TestStepController:
         assert row0_error(a, False) > 10.0
 
     def test_dopri5_step_fsal_row(self):
-        # k7 at the accepted point equals the next step's k1
+        # the step returns its seven stages, the given k1 first; the last,
+        # k7 at the accepted point, is the next step's k1
         f = Scalar()
         h = Tensor([1.0])
-        h_next, err, k7 = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
-        assert np.allclose(k7.data, h_next.data)  # dh/dt = h
+        k1 = f.eval(h, 0.0)
+        h_next, err, ks = dopri5_step(f, h, 0.0, 0.1, k1)
+        assert len(ks) == 7 and ks[0] is k1
+        assert np.allclose(ks[-1].data, h_next.data)  # dh/dt = h
 
 
 class TestInitialStep:
@@ -426,18 +495,3 @@ class TestDifferentiation:
             return tg.mse(sol.states[-1], np.zeros(x.shape))
 
         assert tg.grad_check(loss_fn, params) < 1e-5
-
-
-class TestLipschitzBound:
-    def test_product_of_frobenius_norms(self):
-        p = ParamSet()
-        p.add("dyn.l1.w", np.array([[3.0, 0.0], [0.0, 4.0]]))  # norm 5
-        p.add("dyn.l1.b", np.zeros(2))
-        p.add("dyn.l2.w", np.array([[2.0]]))                   # norm 2
-        assert np.isclose(lipschitz_bound(p), 10.0)
-
-    def test_prefix_filter_and_empty(self):
-        p = ParamSet()
-        p.add("other.w", np.array([[7.0]]))
-        assert lipschitz_bound(p, prefix="dyn") == 0.0
-        assert np.isclose(lipschitz_bound(p, prefix="other"), 7.0)
