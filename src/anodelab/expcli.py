@@ -43,24 +43,44 @@ class ConfigError(ValueError):
     pass
 
 
-def write_csv(path, header: str, rows) -> None:
-    """The one CSV writer of every artifact: an int or str cell (bool
-    included) is written with str, None as an empty cell, and any other
-    value as a float in .9g, byte for byte format(float(c), ".9g").  Rows
-    are drawn and written one at a time, each through one % template built
-    once per tuple of cell types."""
-    templates: dict[tuple[type, ...], str] = {}
+def cell_format(t: type) -> str:
+    """The one cell rule of every CSV artifact, as the % conversion of a cell
+    of type t: str for an int or str (bool included), an empty cell for None,
+    and .9g for any other value, byte for byte format(float(c), ".9g")."""
+    return ("%s" if issubclass(t, (int, str)) else
+            "%.0s" if t is type(None) else "%.9g")
+
+
+def write_blocks(path, header: str, blocks) -> None:
+    """Write the header line, then each block of formatted rows as it is
+    drawn.  A block that raises takes the file with it, so a failed solve
+    leaves no artifact behind."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+        try:
+            fh.write(header + "\n")
+            for block in blocks:
+                fh.write(block)
+        except BaseException:
+            fh.close()
+            Path(path).unlink()
+            raise
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The CSV writer of rows of mixed cells: each row is drawn, formatted by
+    cell_format through one % template built once per tuple of cell types,
+    and written before the next is drawn."""
+    templates: dict[tuple[type, ...], str] = {}
+
+    def lines():
         for row in rows:
             row = tuple(row)
             key = tuple(map(type, row))
             template = templates.get(key)
             if template is None:
-                template = templates[key] = ",".join(
-                    "%s" if issubclass(t, (int, str)) else
-                    "%.0s" if t is type(None) else "%.9g" for t in key) + "\n"
-            fh.write(template % row)
+                template = templates[key] = ",".join(map(cell_format, key)) + "\n"
+            yield template % row
+    write_blocks(path, header, lines())
 
 
 def save_checkpoint(path, model: mdl.Model) -> None:
@@ -168,13 +188,25 @@ def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
 
 
 def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
+    """One row per point and output time: point_id, label, time and the
+    state, by cell_format (every cell but point_id a float).  Every point
+    has the same time cells, so they are formatted once, into a block
+    template of n_times rows whose state cells stay placeholders; the point
+    id and label are formatted once per point, as the lead of each of its
+    rows, and each point's block is written with one %."""
     dim = snap.states.shape[2]
     header = "point_id,label,time," + ",".join(f"s{i}" for i in range(dim))
-    times = np.asarray(snap.times, dtype=float).tolist()
+    real, integer = cell_format(float), cell_format(int)
+    rows = [",".join([real % t] + [real] * dim)
+            for t in np.asarray(snap.times, dtype=float).tolist()]
     labels = np.asarray(snap.labels, dtype=float).tolist()
-    write_csv(path, header, ((i, label, t, *state)
-                             for i, label in enumerate(labels)
-                             for t, state in zip(times, snap.states[i].tolist())))
+
+    def blocks():
+        for i, label in enumerate(labels):
+            lead = f"{integer % i},{real % label},"
+            yield ((lead + ("\n" + lead).join(rows) + "\n") %
+                   tuple(snap.states[i].ravel().tolist()))
+    write_blocks(path, header, blocks())
 
 
 @dataclass
@@ -292,19 +324,23 @@ def plan_generalization(cfg: dict) -> Step:
                                 np.linspace(-2, 2, 100),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     models = {kind: _toy_model(cfg, kind, 2) for kind in ("node", "anode")}
+    # both models predict the same grid: its x0,x1 cells are formatted once,
+    # into one template per 500-point chunk whose predictions stay placeholders
+    real = cell_format(float)
+    cells = [f"{real % x0},{real % x1},{real}\n" for x0, x1 in grid.tolist()]
+    chunks = {i: "".join(cells[i:i + 500]) for i in range(0, len(grid), 500)}
 
     def step(run: Run) -> None:
         for kind, model in models.items():
             record = run.fit(kind, model, train_set, val_set)
             if record.error is not None:  # no solve with a blown-up model
                 continue
-            with no_grad():
-                preds = np.concatenate(
-                    [mdl.node_forward(model, Tensor(grid[i:i + 500]),
-                                      run.train.solver)[0].data.reshape(-1)
-                     for i in range(0, len(grid), 500)])
-            write_csv(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
-                      ((*g, p) for g, p in zip(grid.tolist(), preds.tolist())))
+            with no_grad():  # each chunk is written as soon as it is predicted
+                write_blocks(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
+                             (chunk % tuple(mdl.node_forward(
+                                 model, Tensor(grid[i:i + 500]), run.train.solver
+                             )[0].data.reshape(-1).tolist())
+                              for i, chunk in chunks.items()))
             print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
         if not run.failures:
             print(f"artifacts in {run.out}")

@@ -37,12 +37,19 @@ class _Canvas:
         py += h - m
         return px, py
 
+    @staticmethod
+    def polyline_template(points, color, width=1.5):
+        """A polyline element whose points attribute is the % template
+        points, for each polyline's pixels to be filled in with one %."""
+        return (f'<polyline points="{points}" fill="none" '
+                f'stroke="{color}" stroke-width="{width}"/>')
+
     def polyline(self, pxs, pys, color, width=1.5):
         """One polyline through pixel coordinates, as to_px returns them."""
         xy = np.column_stack((pxs, pys))
-        pts = ("%.2f,%.2f " * len(xy))[:-1] % tuple(xy.ravel().tolist())
-        self.parts.append(f'<polyline points="{pts}" fill="none" '
-                          f'stroke="{color}" stroke-width="{width}"/>')
+        self.parts.append(self.polyline_template(("%.2f,%.2f " * len(xy))[:-1],
+                                                 color, width)
+                          % tuple(xy.ravel().tolist()))
 
     def circle(self, px, py, color, r=3.0):
         self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" '
@@ -105,19 +112,24 @@ def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
         t = np.linspace(0.0, 1.0, n_times)
         c.set_limits(_limits([t]), _limits([states[:, :, 0]]))
         px, py = c.to_px(t, states[:, :, 0])
-        for i in range(n_pts):
-            color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
-            c.polyline(px, py[i], color)
+        # every polyline shares the time axis: its x pixels are formatted
+        # once, and only each point's y pixels are left as placeholders
+        points = " ".join([f"{x:.2f},%.2f" for x in px.tolist()])
+        pixels = py
     else:
         c.set_limits(_limits([states[:, :, 0]]), _limits([states[:, :, 1]]))
         px, py = c.to_px(states[:, :, 0], states[:, :, 1])
-        for i in range(n_pts):
-            color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
-            c.polyline(px[i], py[i], color)
+        points = ("%.2f,%.2f " * n_times)[:-1]
+        pixels = np.stack((px, py), axis=-1)  # every point's x, y interleaved
+    lines = {color: c.polyline_template(points, color) for color in _COLORS[:2]}
+    for i in range(n_pts):
+        color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
+        c.parts.append(lines[color] % tuple(pixels[i].ravel().tolist()))
+        if dim > 1:
             c.circle(px[i, 0], py[i, 0], color)
     # free the pixel arrays before write() joins the document: held, they
     # raise the export's peak RSS by more than their size
-    del px, py
+    del px, py, pixels
     if title:
         c.text(title, c.margin, 20)
     c.write(path)

@@ -8,6 +8,7 @@ import math
 import runpy
 import struct
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import anodelab.expcli as cli
 from anodelab import svg
@@ -25,8 +27,8 @@ from anodelab.expcli import (CKPT_MAGIC, CKPT_VERSION, COMMANDS, EXIT_CONFIG,
                              ConfigError, build_parser, load_checkpoint, main,
                              parse_config_file, resolve_config,
                              save_checkpoint)
-from anodelab.models import (Model, ModelSpec, flow_trajectory, node_forward,
-                             param_count, vector_field)
+from anodelab.models import (FlowSnapshot, Model, ModelSpec, flow_trajectory,
+                             node_forward, param_count, vector_field)
 from anodelab.odeint import SolverConfig, StepLimitError
 from anodelab.tensorgrad import Tensor, no_grad
 
@@ -319,6 +321,50 @@ class TestGeneralizationCommand:
             assert (out / f"{kind}_train.csv").exists()
             assert (out / f"{kind}.ckpt").exists()
 
+    def test_heat_grids_match_per_cell_rule(self, tmp_path):
+        """Each heat grid is byte for byte the per-cell rule's rows of the
+        grid and the checkpoint's predictions, in chunks of 500 points."""
+        out = tmp_path / "gen"
+        assert run(["generalization", "--epochs", "1", "--hidden", "4",
+                    "--out", str(out)]) == EXIT_OK
+        grid = np.stack(np.meshgrid(np.linspace(-2, 2, 100),
+                                    np.linspace(-2, 2, 100),
+                                    indexing="ij"), axis=-1).reshape(-1, 2)
+        defaults = COMMANDS["generalization"].defaults
+        solver = SolverConfig(rtol=defaults["solver_rtol"],
+                              atol=defaults["solver_atol"])
+        for kind in ("node", "anode"):
+            model = load_checkpoint(out / f"{kind}.ckpt")
+            with no_grad():
+                preds = [node_forward(model, Tensor(grid[i:i + 500]), solver)[0].data
+                         for i in range(0, len(grid), 500)]
+            preds = np.concatenate(preds).reshape(-1)
+            per_cell_write_csv(tmp_path / f"{kind}_ref.csv", "x0,x1,prediction",
+                               [[*g, p] for g, p in zip(grid, preds)])
+            assert ((out / f"{kind}_heatgrid.csv").read_bytes() ==
+                    (tmp_path / f"{kind}_ref.csv").read_bytes()), kind
+
+    def test_late_chunk_failure_leaves_no_heat_grid(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A heat grid is written chunk by chunk as it is predicted; a
+        solve that fails after some chunks are written removes the file."""
+        forward, calls = cli.mdl.node_forward, []
+
+        def third_chunk_fails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise StepLimitError("dopri5: step limit 7 reached", 7)
+            return forward(*args)
+
+        monkeypatch.setattr(cli.mdl, "node_forward", third_chunk_fails)
+        out = tmp_path / "gen"
+        assert run(["generalization", "--epochs", "1", "--hidden", "1",
+                    "--out", str(out)]) == EXIT_TRAINING
+        assert "solver failure: dopri5: step limit 7 reached" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not (out / "node_heatgrid.csv").exists()
+        assert (out / "node_train.csv").exists()
+
     def test_validation_failure_is_a_training_failure(self, tmp_path,
                                                       monkeypatch, capsys):
         def failing_evaluate(*args):
@@ -552,6 +598,49 @@ class TestWriteCsv:
                 (tmp_path / "ref.csv").read_bytes())
 
 
+@st.composite
+def flow_snapshots(draw):
+    n_points, n_times, dim = (draw(st.integers(0, 40)), draw(st.integers(2, 30)),
+                              draw(st.integers(1, 7)))
+    return FlowSnapshot(draw(st.lists(FLOATS, min_size=n_times, max_size=n_times)),
+                        draw(arrays(np.float64, (n_points, n_times, dim),
+                                    elements=FLOATS)),
+                        draw(arrays(np.float64, n_points, elements=FLOATS)))
+
+
+class TestWriteFlowCsv:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(snap=flow_snapshots())
+    def test_matches_per_cell_rule(self, tmp_path, snap):
+        dim = snap.states.shape[2]
+        per_cell_write_csv(tmp_path / "ref.csv", "point_id,label,time," +
+                           ",".join(f"s{i}" for i in range(dim)),
+                           [[i, snap.labels[i], t, *snap.states[i, j]]
+                            for i in range(len(snap.states))
+                            for j, t in enumerate(snap.times)])
+        cli.write_flow_csv(tmp_path / "new.csv", snap)
+        assert ((tmp_path / "new.csv").read_bytes() ==
+                (tmp_path / "ref.csv").read_bytes())
+
+    def test_streams_point_by_point(self, tmp_path):
+        """Writing 20000 points x 25 times x 7 dims allocates less than a
+        tenth of the bytes written: no file is built in memory."""
+        rng = np.random.default_rng(0)
+        snap = FlowSnapshot(list(np.linspace(0.0, 1.0, 25)),
+                            rng.standard_normal((20000, 25, 7)),
+                            rng.integers(0, 2, 20000).astype(float))
+        tracemalloc.start()
+        try:
+            cli.write_flow_csv(tmp_path / "flow.csv", snap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / "flow.csv").stat().st_size
+        assert written > 20000 * 25 * 7 * 10
+        assert peak < written / 10, (peak, written)
+
+
 class TestExportFlowsCommand:
     def _checkpoint(self, tmp_path, spec):
         m = Model(spec, seed=0)
@@ -561,11 +650,14 @@ class TestExportFlowsCommand:
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=8),
-        ModelSpec(kind="node", input_dim=1, hidden_dim=8, head="identity")],
-        ids=["anode", "node-1d"])
+        ModelSpec(kind="node", input_dim=1, hidden_dim=8, head="identity"),
+        ModelSpec(kind="resnet", input_dim=1, hidden_dim=8, resnet_layers=5),
+        ModelSpec(kind="anode", input_dim=2, p=2, hidden_dim=8)],
+        ids=["anode", "node-1d", "resnet", "anode-2d"])
     def test_artifacts_match_per_cell_and_per_point_rules(self, tmp_path, spec):
         """flow.csv, field.csv and flow.svg are byte for byte what the
-        per-cell CSV rule and the per-point SVG rule give for the same model."""
+        per-cell CSV rule and the per-point SVG rule give for the same model;
+        a resnet has no field.csv."""
         ckpt = self._checkpoint(tmp_path, spec)
         out, ref = tmp_path / "flows", tmp_path / "ref"
         assert run(["export-flows", "--checkpoint", str(ckpt), "--out", str(out),
@@ -573,7 +665,10 @@ class TestExportFlowsCommand:
 
         model, sd = Model(spec, seed=0), spec.state_dim
         defaults = COMMANDS["export-flows"].defaults
-        snap = flow_trajectory(model, np.linspace(-1.5, 1.5, 30)[:, None], 6,
+        points = (np.linspace(-1.5, 1.5, 30)[:, None] if spec.input_dim == 1 else
+                  np.random.default_rng(defaults["seed"]).uniform(
+                      -1.5, 1.5, size=(30, spec.input_dim)))
+        snap = flow_trajectory(model, points, 6,
                                SolverConfig(rtol=defaults["solver_rtol"],
                                             atol=defaults["solver_atol"]))
         ref.mkdir()
@@ -582,20 +677,26 @@ class TestExportFlowsCommand:
                            [[i, snap.labels[i], t, *snap.states[i, j]]
                             for i in range(len(snap.states))
                             for j, t in enumerate(snap.times)])
-        axis = np.linspace(-2.0, 2.0, 10)
-        mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
-                        axis=-1).reshape(-1, min(sd, 2))
-        mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))
-        times = [0.0, 0.5, 1.0]
-        per_cell_write_csv(ref / "field.csv",
-                           "t," + ",".join(f"x{i}" for i in range(sd)) + "," +
-                           ",".join(f"f{i}" for i in range(sd)),
-                           [[t, *pt, *vec]
-                            for t, at_t in zip(times, vector_field(model, mesh, times))
-                            for pt, vec in zip(mesh, at_t)])
         per_point_trajectory_plot(ref / "flow.svg", snap.states, snap.labels,
                                   title="flow trajectories")
-        for name in ("flow.csv", "field.csv", "flow.svg"):
+        names = ["flow.csv", "flow.svg"]
+        if spec.kind == "resnet":
+            assert len(snap.times) == spec.resnet_layers + 1
+            assert not (out / "field.csv").exists()
+        else:
+            axis = np.linspace(-2.0, 2.0, 10)
+            mesh = np.stack(np.meshgrid(*([axis] * min(sd, 2)), indexing="ij"),
+                            axis=-1).reshape(-1, min(sd, 2))
+            mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))
+            times = [0.0, 0.5, 1.0]
+            per_cell_write_csv(ref / "field.csv",
+                               "t," + ",".join(f"x{i}" for i in range(sd)) + "," +
+                               ",".join(f"f{i}" for i in range(sd)),
+                               [[t, *pt, *vec]
+                                for t, at_t in zip(times, vector_field(model, mesh, times))
+                                for pt, vec in zip(mesh, at_t)])
+            names.append("field.csv")
+        for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_flow_and_field(self, tmp_path):
