@@ -92,8 +92,7 @@ def save_checkpoint(path, model: mdl.Model) -> None:
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(spec_json)))
         fh.write(spec_json)
-        for _, t in model.params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.params.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> mdl.Model:
@@ -118,10 +117,7 @@ def load_checkpoint(path) -> mdl.Model:
     if len(raw) != end:
         raise OSError(f"{path}: {len(raw) - end} bytes after the parameters")
     model = mdl.Model(spec, seed=0)
-    for _, t in model.params.items():
-        t.data[...] = np.frombuffer(raw, dtype="<f8", count=t.size,
-                                    offset=off).reshape(t.shape)
-        off += 8 * t.size
+    model.params.data[...] = np.frombuffer(raw, dtype="<f8", offset=off)
     return model
 
 

@@ -4,10 +4,10 @@ The engine is tape-based: while a :class:`CompGraph` is active, every primitive
 records one node (its output tensor and its backward rule).  Leaves
 (parameters, inputs, constants) are never recorded.  ``backward`` walks the
 tape once in reverse; a gradient that reaches a leaf with a ``.grad`` buffer
-(one created with ``requires_grad=True``) is added into that buffer, and one
-that reaches any other leaf is dropped.  A tensor knows its graph only by
-serial number, so nothing refers back to a tape, and reference counting frees
-the tape as soon as its graph is unbound.
+(a parameter, or one created with ``requires_grad=True``) is added into that
+buffer, and one that reaches any other leaf is dropped.  A tensor knows its
+graph only by serial number, so nothing refers back to a tape, and reference
+counting frees the tape as soon as its graph is unbound.
 
 Only the primitives the dynamics functions and losses need are provided; there
 is no general broadcasting beyond bias addition.
@@ -122,10 +122,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.grad is not None})"
@@ -465,16 +461,35 @@ def backward(graph: CompGraph, loss: Tensor) -> None:
 
 
 class ParamSet:
-    """Named parameter tensors with matching gradient accumulators."""
+    """Named parameter tensors over one contiguous buffer of values, ``data``,
+    and one of gradients, ``grad``.  Each parameter's ``.data`` and ``.grad``
+    are views of them, in the order the parameters were added, so a pass
+    over the whole set (an optimizer step, a finite check, zeroing) is one
+    NumPy call over each buffer."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.data = np.zeros(0)
+        self.grad = np.zeros(0)
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
+        """Add a parameter holding a copy of ``value``.  Both buffers grow,
+        and every parameter's views move to them with its values and
+        gradient kept; the tensors stay the same objects."""
         if name in self._params:
             raise KeyError(f"duplicate parameter {name!r}")
-        t = Tensor(value, requires_grad=True)
+        t = Tensor(value)
         self._params[name] = t
+        data = np.concatenate([self.data, t.data.ravel()])
+        grad = np.zeros_like(data)
+        grad[:self.grad.size] = self.grad
+        off = 0
+        for p in self._params.values():
+            shape, end = p.data.shape, off + p.data.size
+            p.data = data[off:end].reshape(shape)
+            p.grad = grad[off:end].reshape(shape)
+            off = end
+        self.data, self.grad = data, grad
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -484,8 +499,7 @@ class ParamSet:
         return self._params.items()
 
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: ParamSet,
@@ -493,7 +507,8 @@ def grad_check(loss_fn: Callable[[], Tensor], params: ParamSet,
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` evaluates the scalar loss from the current parameter values;
-    it must not depend on any state other than ``params``.
+    it must not depend on any state other than ``params``.  Each value is
+    perturbed in place, through the set's buffer.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"grad_check: eps {eps} outside (0, 1e-2]")
@@ -503,22 +518,21 @@ def grad_check(loss_fn: Callable[[], Tensor], params: ParamSet,
     if not np.isfinite(loss.data).all():
         raise ValueError("grad_check: non-finite loss")
     backward(g, loss)
-    analytic = {k: t.grad.copy() for k, t in params.items()}
+    analytic = params.grad.copy()
 
     worst = 0.0
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = loss_fn().item()
-            flat[i] = orig - eps
-            lm = loss_fn().item()
-            flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise ValueError("grad_check: non-finite loss during perturbation")
-            cd = (lp - lm) / (2.0 * eps)
-            an = analytic[name].reshape(-1)[i]
-            rel = abs(an - cd) / max(abs(an), abs(cd), 1e-12)
-            worst = max(worst, rel)
+    flat = params.data
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        lp = loss_fn().item()
+        flat[i] = orig - eps
+        lm = loss_fn().item()
+        flat[i] = orig
+        if not (np.isfinite(lp) and np.isfinite(lm)):
+            raise ValueError("grad_check: non-finite loss during perturbation")
+        cd = (lp - lm) / (2.0 * eps)
+        an = analytic[i]
+        rel = abs(an - cd) / max(abs(an), abs(cd), 1e-12)
+        worst = max(worst, rel)
     return worst

@@ -83,8 +83,10 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moments, each one array over a ParamSet's buffer;
+    None until the first step."""
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
@@ -95,30 +97,32 @@ class GradientError(ValueError):
 def adam_step(params: ParamSet, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update with decoupled weight decay applied as
     theta <- theta * (1 - lr*wd) before the Adam step; zeros gradients after.
+    Every operation is elementwise, so it runs once over the set's buffers.
 
     Raises GradientError, before changing any parameter or state, if a
-    gradient is not finite."""
-    for name, p in params.items():
-        if not np.all(np.isfinite(p.grad)):
-            raise GradientError(f"non-finite gradient for parameter {name!r}")
+    gradient is not finite; it names the first such parameter."""
+    g = params.grad
+    if not np.isfinite(g).all():
+        name = next(name for name, p in params.items()
+                    if not np.isfinite(p.grad).all())
+        raise GradientError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = p.grad
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        if cfg.weight_decay > 0.0:
-            p.data *= 1.0 - cfg.lr * cfg.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    p = params.data
+    if state.m is None:
+        state.m = np.zeros_like(p)
+        state.v = np.zeros_like(p)
+    if cfg.weight_decay > 0.0:
+        p *= 1.0 - cfg.lr * cfg.weight_decay
+    m = state.m
+    v = state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     params.zero_grad()
 
 

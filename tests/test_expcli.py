@@ -28,7 +28,8 @@ from anodelab.expcli import (CKPT_MAGIC, CKPT_VERSION, COMMANDS, EXIT_CONFIG,
                              parse_config_file, resolve_config,
                              save_checkpoint)
 from anodelab.models import (FlowSnapshot, Model, ModelSpec, flow_trajectory,
-                             node_forward, param_count, vector_field)
+                             node_forward, param_count, param_shapes,
+                             vector_field)
 from anodelab.odeint import SolverConfig, StepLimitError
 from anodelab.tensorgrad import Tensor, no_grad
 
@@ -122,6 +123,70 @@ class TestCheckpoint:
                     "--out", str(out)]) == EXIT_IO
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def per_tensor_save_checkpoint(path, model):
+    """save_checkpoint as it wrote the parameters, one tensor at a time."""
+    spec_json = json.dumps(asdict(model.spec), sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<I", CKPT_VERSION))
+        fh.write(struct.pack("<I", len(spec_json)))
+        fh.write(spec_json)
+        for _, t in model.params.items():
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+
+
+def assert_tiles_buffers(model):
+    """Each parameter's .data and .grad are C-ordered views of the set's two
+    buffers, back to back in declaration order."""
+    params = model.params
+    shapes = list(param_shapes(model.spec))
+    assert [name for name, _ in params.items()] == [name for name, _ in shapes]
+    off = 0
+    for (_, t), (_, shape) in zip(params.items(), shapes):
+        for view, buf in ((t.data, params.data), (t.grad, params.grad)):
+            assert view.shape == shape and view.flags.c_contiguous
+            assert np.shares_memory(view, buf)
+            start = view.__array_interface__["data"][0]
+            assert start == buf.__array_interface__["data"][0] + 8 * off
+        off += math.prod(shape)
+    assert params.data.shape == params.grad.shape == (off,)
+
+
+LAYOUT_SPECS = {
+    "node": ModelSpec(kind="node", input_dim=2, hidden_dim=5, output_dim=3),
+    "anode": ModelSpec(kind="anode", input_dim=1, p=2, hidden_dim=4),
+    "resnet": ModelSpec(kind="resnet", input_dim=2, hidden_dim=3,
+                        resnet_layers=3, head="identity", output_dim=2),
+    "conv": ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=3,
+                      output_dim=2, conv=True),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_SPECS))
+def test_parameters_tile_one_buffer(tmp_path, monkeypatch, name):
+    spec = LAYOUT_SPECS[name]
+    model = Model(spec, seed=3)
+    assert_tiles_buffers(model)
+    path, ref = tmp_path / "m.ckpt", tmp_path / "ref.ckpt"
+    save_checkpoint(path, model)
+    per_tensor_save_checkpoint(ref, model)
+    assert path.read_bytes() == ref.read_bytes()
+
+    built = []  # the views of the model load_checkpoint builds
+
+    class Recording(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append([(t.data, t.grad) for _, t in self.params.items()])
+
+    monkeypatch.setattr(cli.mdl, "Model", Recording)
+    loaded = load_checkpoint(path)
+    assert_tiles_buffers(loaded)
+    assert all(t.data is data and t.grad is grad for (_, t), (data, grad)
+               in zip(loaded.params.items(), built[0]))
+    assert loaded.params.data.tobytes() == model.params.data.tobytes()
 
 
 class TestConfigResolution:

@@ -781,6 +781,29 @@ class TestParamSet:
         p.zero_grad()
         assert np.all(t.grad == 0.0)
 
+    def test_add_moves_views_and_keeps_values(self):
+        p = ParamSet()
+        value = np.arange(6.0).reshape(2, 3)
+        a = p.add("a", value)
+        value[0, 0] = 9.0  # the set holds a copy
+        a.grad += 2.0
+        b = p.add("b", np.full(2, 7.0))
+        assert p["a"] is a and p["b"] is b
+        assert np.array_equal(a.data, np.arange(6.0).reshape(2, 3))
+        assert np.all(a.grad == 2.0) and np.all(b.grad == 0.0)
+        assert p.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 7.0]
+        p.data[-1] = -1.0
+        p.grad[0] = 3.0
+        assert b.data[-1] == -1.0 and a.grad[0, 0] == 3.0
+
+    def test_non_finite_value_rejected_unchanged(self):
+        p = ParamSet()
+        a = p.add("a", np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            p.add("b", np.array([np.nan]))
+        assert [k for k, _ in p.items()] == ["a"] and p.data.size == 2
+        assert np.shares_memory(a.data, p.data)
+
 
 class TestGradCheck:
     def test_mlp_passes(self):
@@ -797,6 +820,25 @@ class TestGradCheck:
             return tg.mse(out, np.zeros(out.shape))
 
         assert grad_check(loss_fn, params) < 1e-6
+
+    def test_perturbs_in_place(self):
+        params = ParamSet()
+        w = params.add("w", np.array([[0.5, -0.25]]))
+        b = params.add("b", np.array([0.125]))
+        before = params.data.copy()
+        views = (w.data, w.grad, b.data, b.grad)
+        seen = []
+
+        def loss_fn():
+            seen.append(params.data.copy())
+            return tg.mse(tg.matmul(Tensor([[1.0], [2.0]]), w) + b, np.zeros(4))
+
+        assert grad_check(loss_fn, params) < 1e-6
+        assert all(x is y for x, y in zip((w.data, w.grad, b.data, b.grad), views))
+        assert params.data.tobytes() == before.tobytes()
+        # one unperturbed call, then each value up and down by eps in turn
+        moved = [np.flatnonzero(v != before).tolist() for v in seen[1:]]
+        assert moved == [[i] for i in range(3) for _ in range(2)]
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

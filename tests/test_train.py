@@ -3,14 +3,17 @@ and grid search."""
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from anodelab import tensorgrad as tg
 from anodelab.data import LabeledSet, gen_g1d
-from anodelab.expcli import write_record_csvs
+from anodelab.expcli import save_checkpoint, write_record_csvs
 from anodelab.models import Model, ModelSpec
 from anodelab.odeint import DivergenceError, SolverConfig, StepLimitError
 from anodelab import train as trn
@@ -91,8 +94,18 @@ class TestAdam:
         state = AdamState()
         with pytest.raises(GradientError, match="layer.w"):
             adam_step(params, state, TrainConfig())
-        # no parameter moves when any gradient is bad
-        assert np.all(a.data == 0.0) and state.step == 0 and not state.m
+        # no parameter moves and no moment is allocated when any gradient is bad
+        assert np.all(a.data == 0.0) and state.step == 0
+        assert state.m is None and state.v is None
+
+    def test_non_finite_gradient_names_first_in_declaration_order(self):
+        params = ParamSet()
+        for name, g in (("a", 1.0), ("b", np.inf), ("c", np.nan)):
+            params.add(name, np.zeros(3))
+            params[name].grad[1] = g
+        with pytest.raises(GradientError, match="'b'"):
+            adam_step(params, AdamState(), TrainConfig())
+        assert np.all(params.data == 0.0) and params.grad[4] == np.inf
 
     def test_grads_zeroed_after_step(self):
         params = ParamSet()
@@ -100,6 +113,120 @@ class TestAdam:
         p.grad[...] = 1.0
         adam_step(params, AdamState(), TrainConfig())
         assert np.all(p.grad == 0.0)
+
+
+@dataclass
+class PerTensorAdamState:
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    step: int = 0
+
+
+def per_tensor_adam_step(params, state, cfg):
+    """Adam as it ran tensor by tensor, with a moment array per parameter:
+    the reference the one-pass step over the set's buffers must match bit
+    for bit."""
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.grad)):
+            raise GradientError(f"non-finite gradient for parameter {name!r}")
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - trn.ADAM_BETA1 ** t
+    bc2 = 1.0 - trn.ADAM_BETA2 ** t
+    for name, p in params.items():
+        g = p.grad
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        if cfg.weight_decay > 0.0:
+            p.data *= 1.0 - cfg.lr * cfg.weight_decay
+        m = state.m[name]
+        v = state.v[name]
+        m *= trn.ADAM_BETA1
+        m += (1.0 - trn.ADAM_BETA1) * g
+        v *= trn.ADAM_BETA2
+        v += (1.0 - trn.ADAM_BETA2) * g * g
+        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + trn.ADAM_EPS)
+    for _, p in params.items():
+        p.grad[...] = 0.0
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).reshape(-1).view(np.int64)
+
+
+# signed zeros, subnormals, the smallest normals and gradients whose square
+# overflows
+EDGE_GRADS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+              1e200, -1e200)
+
+
+@st.composite
+def adam_runs(draw):
+    shapes = draw(st.lists(array_shapes(min_dims=0, max_dims=3, max_side=4),
+                           min_size=1, max_size=5))
+    grad = st.floats(-1e3, 1e3) | st.sampled_from(EDGE_GRADS)
+    values = [draw(arrays(np.float64, s, elements=st.floats(-10, 10)))
+              for s in shapes]
+    grads = [[draw(arrays(np.float64, s, elements=grad)) for s in shapes]
+             for _ in range(draw(st.integers(1, 5)))]
+    cfg = TrainConfig(lr=draw(st.floats(1e-6, 1.0)),
+                      weight_decay=draw(st.just(0.0) | st.floats(1e-6, 10.0)))
+    return values, grads, cfg
+
+
+class TestOnePassAdam:
+    @settings(max_examples=200, deadline=None)
+    @given(run=adam_runs())
+    def test_matches_per_tensor_reference_bit_for_bit(self, run):
+        values, grads, cfg = run
+        sets = []
+        for _ in range(2):
+            params = ParamSet()
+            for i, value in enumerate(values):
+                params.add(f"p{i}", value)
+            sets.append(params)
+        flat, ref = sets
+        state, ref_state = AdamState(), PerTensorAdamState()
+        for step_grads in grads:
+            for params in sets:
+                for (_, p), g in zip(params.items(), step_grads):
+                    p.grad[...] = g
+            with np.errstate(over="ignore"):
+                adam_step(flat, state, cfg)
+                per_tensor_adam_step(ref, ref_state, cfg)
+            assert state.step == ref_state.step
+            for (name, p), (_, q) in zip(flat.items(), ref.items()):
+                assert np.array_equal(bits(p.data), bits(q.data)), name
+            for moment, ref_moment in ((state.m, ref_state.m),
+                                       (state.v, ref_state.v)):
+                ref_flat = np.concatenate([a.ravel() for a in ref_moment.values()])
+                assert np.array_equal(bits(moment), bits(ref_flat))
+            assert not flat.grad.any() and not ref.grad.any()
+
+    @pytest.mark.parametrize("wd", [0.0, 1e-2], ids=["no_wd", "wd"])
+    @pytest.mark.parametrize("kind", ["node", "anode", "resnet"])
+    def test_fit_matches_per_tensor_reference(self, monkeypatch, tmp_path,
+                                              kind, wd):
+        spec = ModelSpec(kind=kind, input_dim=1, hidden_dim=4,
+                         p=2 if kind == "anode" else 0,
+                         resnet_layers=3 if kind == "resnet" else 0)
+        cfg = fast_cfg(epochs=3, lr=1e-2, weight_decay=wd, seed=5)
+
+        def run(name):
+            model = Model(spec, seed=5)
+            rec = fit(model, tiny_dataset(seed=5), tiny_dataset(16, seed=6), cfg)
+            assert rec.error is None
+            save_checkpoint(tmp_path / name, model)
+            return rec.deterministic_rows(), (tmp_path / name).read_bytes()
+
+        rows, ckpt = run("one_pass.ckpt")
+        monkeypatch.setattr(trn, "AdamState", PerTensorAdamState)
+        monkeypatch.setattr(trn, "adam_step", per_tensor_adam_step)
+        ref_rows, ref_ckpt = run("per_tensor.ckpt")
+        assert rows == ref_rows and ckpt == ref_ckpt
+        save_checkpoint(tmp_path / "untrained.ckpt", Model(spec, seed=5))
+        assert ckpt != (tmp_path / "untrained.ckpt").read_bytes()  # it trained
 
 
 class TestFit:
