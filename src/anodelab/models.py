@@ -74,16 +74,16 @@ class FlowSnapshot:
 
 def augment(x: Tensor, p: int) -> Tensor:
     """Concatenate p zeros (feature axis) or, for a (B, C, H, W) batch of
-    images, p zero channels."""
+    images, p zero channels.  The result is a leaf: no gradient flows back
+    to x, which is always model input."""
     if p < 0:
         raise ValueError(f"augmentation size must be >= 0, got {p}")
     if p == 0:
         return x
-    if x.data.ndim == 4:
-        zeros = Tensor(np.zeros((x.shape[0], p) + x.shape[2:]))
-        return tg.concat([x, zeros], axis=1)
-    zeros = Tensor(np.zeros(x.shape[:-1] + (p,)))
-    return tg.concat([x, zeros], axis=-1)
+    axis = 1 if x.data.ndim == 4 else -1
+    shape = list(x.shape)
+    shape[axis] = p
+    return Tensor(np.concatenate([x.data, np.zeros(shape)], axis=axis))
 
 
 def _linear(name: str, n_in: int, n_out: int) -> Iterator[tuple[str, tuple]]:
@@ -206,7 +206,8 @@ def _flow(model: Model, x: Tensor, times: list[float],
     if spec.kind == "resnet":
         states = [x]
         for layer in model.layers:
-            states.append(states[-1] + tg.mlp(states[-1], None, layer))
+            h = states[-1]
+            states.append(tg.lincomb((1.0, 1.0), (h, tg.mlp(h, None, layer))))
         return states, spec.resnet_layers
     sol = integrate(model.dynamics, augment(x, spec.aug), 0.0, times, cfg,
                     per_sample=per_sample)

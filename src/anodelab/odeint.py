@@ -2,10 +2,11 @@
 
 Fixed-step Euler and RK4, and adaptive Dormand-Prince RK45 with the FSAL
 property, behind one step interface (_STEPS) and one integration loop
-(integrate).  All state arithmetic goes through the autodiff primitives, so a
-surrounding CompGraph captures the whole discrete trajectory and backward()
-differentiates through the solver (discretize-then-optimize).  Step-size
-control operates on detached values and is not differentiated.
+(integrate).  All state arithmetic is recorded on the active CompGraph, so
+backward() differentiates through the solver (discretize-then-optimize):
+Euler and RK4 through lincomb primitives, dopri5 through one node per
+attempt (Dopri5Stages).  Step-size control operates on detached values and
+is not differentiated.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import tensorgrad as tg
 from .tensorgrad import Tensor, lincomb
 
 
@@ -93,6 +95,36 @@ _DP_DENSE = np.array([_DP_B5, np.eye(7)[0] - _DP_B5,
                       2 * np.array(_DP_B5) - np.eye(7)[0] - np.eye(7)[6], _DP_D])
 
 
+# The stage sums of one attempt as rows over the buffer of (h, k1, ..., k7):
+# row i < 6 is the input of stage i + 2; row 5 is also h_next, since the
+# last row of _DP_A is the 5th-order weights (FSAL); row 6 is the error
+# estimate.  Column 0 is h's coefficient, 1 as in lincomb; the others are
+# multiplied by dt in each attempt.  _DP_COLS[i] are the columns of row i
+# with a non-zero entry (a slice where they are contiguous, which indexes
+# without a copy), _DP_TAIL[i] those past h and k1, and _DP_PLAN[i] the
+# plan of its _stage_sum.
+_DP_W = np.zeros((7, 8))
+_DP_W[:6, 0] = 1.0
+for _i, _row in enumerate((*_DP_A[1:], _DP_E)):
+    _DP_W[_i, 1:len(_row) + 1] = _row
+_DP_COLS = [np.flatnonzero(_row) for _row in _DP_W]
+_DP_TAIL = [_cols[2:].tolist() for _cols in _DP_COLS]
+_DP_COLS = [slice(_cols[0], _cols[-1] + 1) if len(_cols) == _cols[-1] - _cols[0] + 1
+            else _cols for _cols in _DP_COLS]
+
+
+def _sum_plan(c: np.ndarray) -> tuple[int, int, list[int]]:
+    """The plan of a _stage_sum with coefficients ``c``: the span lo:hi of
+    its non-zero coefficients and the rows of that span, counted from lo,
+    whose coefficient is zero."""
+    cols = np.flatnonzero(c)
+    lo, hi = int(cols[0]), int(cols[-1]) + 1
+    return lo, hi, np.flatnonzero(c[lo:hi] == 0.0).tolist()
+
+
+_DP_PLAN = [_sum_plan(_row) for _row in _DP_W]
+
+
 class _CountingDynamics:
     """Wraps a dynamics function to count evaluations exactly."""
 
@@ -105,21 +137,154 @@ class _CountingDynamics:
         return self.f.eval(h, t)
 
 
+def _stage_sum(w: np.ndarray, K: np.ndarray, plan, scratch: np.ndarray) -> np.ndarray:
+    """sum_i w[i] * K[i] over the rows of ``plan`` (_sum_plan), in order, as
+    one product over the span of the rows, written into ``scratch``, and
+    one reduce.  A row of the span with a zero coefficient takes the sum of
+    the terms before it, and the sum goes on from there, so every term is
+    added in turn.  A reduce starts from -0.0, which leaves a first term as
+    it is, and adds term by term (NumPy sums a one-element state pairwise
+    only from 8 terms on; a sum here has at most 7), so the result has the
+    bits of lincomb's sum, which skips zero coefficients."""
+    lo, hi, gaps = plan
+    p = np.multiply(w[lo:hi], K[lo:hi], out=scratch[:hi - lo])
+    start = 0
+    for g in gaps:
+        np.add.reduce(p[start:g], axis=0, keepdims=True, initial=-0.0,
+                      out=p[g:g + 1])
+        start = g
+    return np.add.reduce(p[start:], axis=0, initial=-0.0)
+
+
+class Dopri5Stages:
+    """One Dormand-Prince attempt from (h, t) with signed step dt, given
+    k1 = f(h, t): its seven stages k1..k7 as rows 1..7 of one buffer ``K``,
+    whose row 0 is h, and each stage sum as one _stage_sum over ``K``.
+
+    On a tape the attempt is one node, ``h_next``.  The six evaluations run
+    through f.eval on a private graph, which the node's backward replays.
+    After an accepted attempt, each dense output (``dense``) and k7, the
+    next attempt's k1 (``fsal``), is a small node of its own that leaves its
+    gradient with the attempt.  The backward walks the stage sums and the
+    evaluations in the reverse order of the flat tape of lincomb and f.eval
+    nodes that it replaces.  It hands back h's and k1's term of each sum as
+    a pair of its own and adds up each stage's terms one by one, as that
+    tape did, so every gradient has the flat tape's bits and memory order.
+    (convnet's bias gradient is a reduce, whose rounding follows the memory
+    order.)  With no active graph nothing is recorded."""
+
+    def __init__(self, f, h: Tensor, t: float, dt: float, k1: Tensor):
+        shape = h.data.shape
+        self.h, self.k1 = h, k1
+        self.K = K = np.empty((8,) + shape)
+        K[0], K[1] = h.data, k1.data
+        c = dt * _DP_W
+        c[:6, 0] = 1.0
+        self.w = w = c.reshape(c.shape + (1,) * len(shape))
+        self.sub = sub = tg.CompGraph() if tg.active_graph() is not None else None
+        # one scratch array for the products of every stage sum (at most 7
+        # rows): a product of a large state allocated anew would be mapped
+        # and faulted in each time
+        P = np.empty((7,) + shape)
+        self.ys, self.ks = [], []  # on the private graph: each stage's input, output
+        with sub if sub is not None else tg.no_grad():
+            for i in range(6):
+                y = tg.record(_stage_sum(w[i], K, _DP_PLAN[i], P), None)
+                k = f.eval(y, t + _DP_C[i + 1] * dt)
+                K[i + 2] = k.data
+                if sub is not None:
+                    if k._serial == sub.serial:
+                        k.data = K[i + 2]  # the stage lives in the buffer alone
+                    self.ys.append(y)
+                    self.ks.append(k)
+        self.err = _stage_sum(w[6], K, _DP_PLAN[6], P)
+        self.G = None  # each stage's gradient, summed term by term in backward
+        # h_next has the bits of stage 7's input, the same sum
+        self.h_next = tg.record(y.data, self._backward)
+
+    def dense(self, coeffs: np.ndarray) -> Tensor:
+        """h + sum_i coeffs[i] * k_(i+1), term by term as lincomb sums it: a
+        state on the attempt's span from the continuous extension's weights
+        ``coeffs`` (an export asks for many, so each stays one pass over
+        the state per term)."""
+        K = self.K
+        cols = (np.flatnonzero(coeffs) + 1).tolist()
+        c = np.append(1.0, coeffs)
+        acc = c[0] * K[0]
+        for j in cols:
+            acc += c[j] * K[j]
+
+        def backward(g):
+            pairs, stages = [(self.h, g * c[0])], cols
+            if cols[0] == 1:
+                pairs.append((self.k1, g * c[1]))
+                stages = cols[1:]
+            self._stage_grad(stages, [g * c[j] for j in stages])
+            # h_next's gradient, even if nothing else gives it one, makes the
+            # attempt's node run
+            pairs.append((self.h_next, np.zeros_like(g)))
+            return pairs
+
+        return tg.record(acc, backward)
+
+    def fsal(self) -> Tensor:
+        """k7 = f(h_next), the next attempt's k1 (first same as last).  With
+        nothing recorded it is a copy, so the buffer goes with the attempt."""
+        k7 = self.K[7] if self.sub is not None else self.K[7].copy()
+        return tg.record(k7, lambda g: self._stage_grad((7,), (g,)))
+
+    def _stage_grad(self, rows, terms) -> tuple:
+        # the gradient terms of stages ``rows``, added to each stage's sum;
+        # a first term is copied in its own memory order, so that a row of
+        # one product does not keep the whole product alive
+        G = self.G = self.G or [None] * 8
+        for r, p in zip(rows, terms):
+            G[r] = p.copy(order="K") if G[r] is None else G[r] + p
+        return ()
+
+    def _sum_backward(self, row: int, g: np.ndarray):
+        # the gradient terms of stage sum ``row`` as one product, each row
+        # in g's memory order as the flat tape's g * c; h's and k1's go out
+        # as pairs
+        p = self.w[row, _DP_COLS[row]] * g
+        yield self.h, p[0]
+        yield self.k1, p[1]
+        self._stage_grad(_DP_TAIL[row], p[2:])
+
+    def _backward(self, g: np.ndarray):
+        # a generator: the tape's loop takes each pair as it comes, so no
+        # term waits in a list for the whole attempt
+        yield from self._sum_backward(5, g)
+        G, sub = self.G, self.sub
+        grads, out = [None] * len(sub.nodes), []
+        top = len(grads) - 1
+        for i in range(5, -1, -1):  # stage i + 2, from its input ys[i]
+            k, y, gk = self.ks[i], self.ys[i], G[i + 2]
+            if gk is not None:
+                if k._serial != sub.serial:
+                    yield k, gk
+                else:
+                    grads[k._id] = gk if grads[k._id] is None else grads[k._id] + gk
+            tg.replay(sub, grads, top, y._id, out)
+            yield from out
+            out.clear()
+            top = y._id - 1
+            gy, grads[y._id] = grads[y._id], None
+            if gy is not None:
+                yield from self._sum_backward(i, gy)
+        self.G = None
+
+
 def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
     """One Dormand-Prince attempt from (h, t) with signed step dt, given
     k1 = f(h, t).
 
-    Returns (h_next, error_estimate_array, ks), the seven stages; the last,
-    k7 = f(h_next), is reused as the next step's k1 when the step is accepted
+    Returns (h_next, error_estimate_array, stages), a Dopri5Stages; its
+    k7 = f(h_next) is reused as the next step's k1 when the step is accepted
     (FSAL), so every attempt costs 6 new evaluations.
     """
-    ks = [k1]
-    for i in range(1, 7):
-        y = lincomb((1.0,) + tuple(dt * a for a in _DP_A[i]), (h, *ks))
-        ks.append(f.eval(y, t + _DP_C[i] * dt))
-    h_next = lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
-    err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
-    return h_next, err, ks
+    stages = Dopri5Stages(f, h, t, dt, k1)
+    return stages.h_next, stages.err, stages
 
 
 def _euler_step(f, h, t, dt, _k1):
@@ -135,8 +300,8 @@ def _rk4_step(f, h, t, dt, _k1):
             None, None)
 
 
-# step(f, h, t, dt, k1) -> (h_next, err, ks): dopri5's local error estimate
-# and its seven stages, ks[-1] the FSAL k1 at h_next; None for Euler and RK4
+# step(f, h, t, dt, k1) -> (h_next, err, stages): dopri5's local error
+# estimate and its Dopri5Stages; None for Euler and RK4
 _STEPS = {"euler": _euler_step, "rk4": _rk4_step, "dopri5": dopri5_step}
 
 
@@ -232,7 +397,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
         dt = direction * _initial_step(k1.data, x0.data, span, cfg)
     states: list[Tensor] = []
 
-    def record(t_end, h_end, ks=None):
+    def record(t_end, h_end, stages=None):
         # every output time up to t_end: h_end within 1e-12 of t_end, an
         # earlier one dopri5's dense output on the step (t, h) -> t_end
         while (len(states) < len(times)
@@ -243,7 +408,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
             else:
                 th = (te - t) / (t_end - t)
                 w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
-                states.append(lincomb((1.0, *(t_end - t) * (w @ _DP_DENSE)), (h, *ks)))
+                states.append(stages.dense((t_end - t) * (w @ _DP_DENSE)))
 
     record(t, h)
     accepted = rejected = 0
@@ -259,7 +424,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                 dt_try = dt
                 if not fixed and direction * (t + dt - target) > 0:
                     dt_try = target - t  # clip to the last output time
-                h_next, err, ks = step(f, h, t, dt_try, k1)
+                h_next, err, stages = step(f, h, t, dt_try, k1)
                 if not np.all(np.isfinite(h_next.data)):
                     raise DivergenceError(f"{cfg.method}: non-finite state "
                                           f"at t={t:.6g}")
@@ -270,11 +435,12 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                     dt = direction * dt_mag
                 if accept:
                     if not fixed:
-                        record(t + dt_try, h_next, ks)
-                    t, h, k1 = t + dt_try, h_next, ks and ks[-1]  # dopri5's FSAL k7
+                        record(t + dt_try, h_next, stages)
+                    t, h, k1 = t + dt_try, h_next, stages and stages.fsal()
                     accepted += 1
                 else:
                     rejected += 1
+                stages = None  # its buffers go before the next attempt's
             if fixed:
                 t = target
                 record(t, h)

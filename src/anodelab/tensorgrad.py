@@ -9,8 +9,11 @@ buffer, and one that reaches any other leaf is dropped.  A tensor knows its
 graph only by serial number, so nothing refers back to a tape, and reference
 counting frees the tape as soon as its graph is unbound.
 
-Only the primitives the dynamics functions and losses need are provided; there
-is no general broadcasting beyond bias addition.
+Only the primitives the dynamics functions and losses need are provided, and
+none of them broadcasts.  A primitive defined elsewhere (the solver's fused
+dopri5 attempt) records its node with ``record``, and may keep a private
+graph of its own that its backward rule runs with ``replay``, the loop that
+``backward`` runs over the tape.
 """
 
 from __future__ import annotations
@@ -80,7 +83,10 @@ class CompGraph:
 
     def __exit__(self, *exc):
         global _ACTIVE
-        _ACTIVE = self._prev
+        # drop the reference to the enclosing graph: a graph entered inside
+        # another one's node (a fused primitive's private graph) would
+        # otherwise close a reference cycle through that node
+        _ACTIVE, self._prev = self._prev, None
         return False
 
     def __len__(self) -> int:
@@ -126,44 +132,18 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.grad is not None})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-
-def _out(data: np.ndarray, backward_fn) -> Tensor:
+def record(data: np.ndarray, backward_fn) -> Tensor:
+    """The tensor holding a primitive's result ``data``.  On the active graph
+    it is one node, whose ``backward_fn`` maps the result's gradient to the
+    (input, gradient) pairs of the primitive's inputs; with no active graph
+    it is a leaf without gradient."""
     t = Tensor._wrap(data)
     if _ACTIVE is not None:
         t._serial = _ACTIVE.serial
         t._id = len(_ACTIVE.nodes)
         _ACTIVE.nodes.append(_Node(t, backward_fn))
     return t
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
-def _check_bcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_bcast("add", a, b)
-
-    def bwd(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _out(a.data + b.data, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -176,7 +156,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g @ bd.T), (b, ad.T @ g))
 
-    return _out(ad @ bd, bwd)
+    return record(ad @ bd, bwd)
 
 
 def _relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -198,26 +178,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return ((a, g * mask),)
 
-    return _out(out, bwd)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    datas = [t.data for t in tensors]
-    try:
-        out = np.concatenate(datas, axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat: shapes {[t.shape for t in tensors]} do not conform on axis {axis}")
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple(zip(tensors, parts))
-
-    return _out(out, bwd)
+    return record(out, bwd)
 
 
 def mlp(x: Tensor, t: float | None,
@@ -228,8 +189,8 @@ def mlp(x: Tensor, t: float | None,
     the last, which is affine.  A float t is appended to every row as an extra
     input column; t=None means no time input.  Forward and backward repeat,
     operation for operation, the NumPy arithmetic of the unfused chain
-    concat -> (matmul, add, relu)* -> matmul, add, so values and gradients are
-    bit-identical to it."""
+    concat -> (matmul, add, relu)* -> matmul, add, which the tests keep as the
+    reference, so values and gradients are bit-identical to it."""
     if x.data.ndim != 2:
         raise ShapeError(f"mlp: input must be 2-d, got {x.shape}")
     if not layers:
@@ -264,13 +225,13 @@ def mlp(x: Tensor, t: float | None,
             w, b = layers[i]
             if i < len(masks):
                 g = g * masks[i]
-            grads.append((b, _unbroadcast(g, b.shape)))
+            grads.append((b, g.sum(axis=0)))
             grads.append((w, acts[i].T @ g))
             g = g @ w.data.T
         grads.append((x, g[:, :-1] if t is not None else g))
         return grads
 
-    return _out(out, bwd)
+    return record(out, bwd)
 
 
 def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
@@ -280,7 +241,7 @@ def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
     def bwd(g):
         return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n),)
 
-    return _out(np.mean(a.data, axis=axis), bwd)
+    return record(np.mean(a.data, axis=axis), bwd)
 
 
 def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
@@ -299,7 +260,7 @@ def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
 
-    return _out(acc, bwd)
+    return record(acc, bwd)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,7 +360,7 @@ def convnet(x: Tensor, t: float,
         return ((w3, gw3), (b3, gb3), (w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1),
                 (x, gx[:, :-1]))
 
-    return _out(out, bwd)
+    return record(out, bwd)
 
 
 def mse(out: Tensor, targets: np.ndarray) -> Tensor:
@@ -415,7 +376,7 @@ def mse(out: Tensor, targets: np.ndarray) -> Tensor:
         gd = np.full(d.shape, float(g) / d.size) * d
         return ((out, gd + gd),)
 
-    return _out(np.mean(d * d), bwd)
+    return record(np.mean(d * d), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -434,20 +395,22 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         gl[np.arange(n), labels] -= 1.0
         return ((logits, gl * (float(g) / n)),)
 
-    return _out(np.float64(nll), bwd)
+    return record(np.float64(nll), bwd)
 
 
-def backward(graph: CompGraph, loss: Tensor) -> None:
-    """Reverse pass over the tape; accumulates into leaf ``.grad`` buffers."""
-    serial = graph.serial
-    if loss._serial != serial:
-        raise GraphError("backward: loss tensor was not computed on this graph")
-    if loss.size != 1:
-        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    nodes = graph.nodes
-    grads: list[np.ndarray | None] = [None] * len(nodes)
-    grads[loss._id] = np.ones_like(loss.data)
-    for nid in range(loss._id, -1, -1):
+def replay(graph: CompGraph, grads: list, top: int, stop: int,
+           out: list | None = None) -> None:
+    """Run the backward rules of graph's nodes top, top - 1, ..., stop + 1.
+
+    ``grads[i]`` is node i's gradient so far, or None; a node with a
+    gradient hands it to its rule and releases it.  Each (input, gradient)
+    pair the rule returns is added into the input's slot of grads when the
+    input is a node of this graph.  An input computed on another graph is
+    appended to ``out``, when one is given, so that a private graph hands
+    those pairs back to the tape it serves; any other input with a
+    ``.grad`` buffer adds into it, and the rest are dropped."""
+    serial, nodes = graph.serial, graph.nodes
+    for nid in range(top, stop, -1):
         g = grads[nid]
         if g is None:
             continue
@@ -456,8 +419,21 @@ def backward(graph: CompGraph, loss: Tensor) -> None:
             if src._serial == serial:
                 sid = src._id
                 grads[sid] = gi if grads[sid] is None else grads[sid] + gi
+            elif src._serial and out is not None:
+                out.append((src, gi))
             elif src.grad is not None:
                 src.grad += gi
+
+
+def backward(graph: CompGraph, loss: Tensor) -> None:
+    """Reverse pass over the tape; accumulates into leaf ``.grad`` buffers."""
+    if loss._serial != graph.serial:
+        raise GraphError("backward: loss tensor was not computed on this graph")
+    if loss.size != 1:
+        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
+    grads: list[np.ndarray | None] = [None] * (loss._id + 1)
+    grads[loss._id] = np.ones_like(loss.data)
+    replay(graph, grads, loss._id, -1)
 
 
 class ParamSet:

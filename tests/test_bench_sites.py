@@ -81,7 +81,43 @@ def test_tape_nodes_expose_their_tensor():
     tape_mb_per_step; without those fields it counts tape_unmeasured and
     drops the metric."""
     from anodelab import tensorgrad as tg
+    from reference import add
     with tg.CompGraph() as g:
-        out = tg.add(tg.Tensor([1.0, 2.0]), tg.Tensor([3.0, 4.0]))
+        out = add(tg.Tensor([1.0, 2.0]), tg.Tensor([3.0, 4.0]))
     nbytes = sum(n.tensor.data.nbytes for n in g.nodes)
     assert g.nodes[-1].tensor is out and nbytes >= out.data.nbytes
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "node", "input_dim": 2, "hidden_dim": 8},
+    {"kind": "anode", "input_dim": 2, "p": 2, "hidden_dim": 8},
+    {"kind": "anode", "input_dim": 1, "p": 1, "hidden_dim": 4, "conv": True},
+], ids=["node", "anode", "conv"])
+def test_wrapper_contract_holds_in_a_fit(spec):
+    """With the tracer installed, a 1-epoch dopri5 fit evaluates the dynamics
+    only through the wrapped ``eval`` (once per counted evaluation), keeps
+    nfe == 1 + 6*(accepted + rejected) and leaves a tape whose nodes expose
+    ``.tensor.data``.  A fused step that bypassed f.eval would otherwise show
+    only as a failed benchmark operation."""
+    from anodelab import data, expcli, models, odeint, svg, tensorgrad, train
+    spec = models.ModelSpec(output_dim=2, **spec)
+    shape = (16, 1, 3, 3) if spec.conv else (16, spec.input_dim)
+    rng = np.random.default_rng(0)
+    train_set = data.LabeledSet(rng.standard_normal(shape), rng.integers(0, 2, 16))
+    model = models.Model(spec, seed=0)
+    tracer = _load_tracer().Tracer()
+    tracer.install({"expcli": expcli, "models": models, "train": train,
+                    "data": data, "tensorgrad": tensorgrad, "odeint": odeint,
+                    "svg": svg})
+    try:
+        record = train.fit(model, train_set, None,
+                           train.TrainConfig(epochs=1, batch_size=8))
+    finally:
+        tracer.uninstall()
+    assert record.error is None
+    site = "models.ConvDynamics.eval" if spec.conv else "models.MlpDynamics.eval"
+    c = tracer.c
+    assert c["nfe"] > 0 and tracer.fired[site] == c["nfe"]
+    assert c["dopri5_solves"] == 2 and c["nfe_identity_violations"] == 0
+    assert c["backward_calls"] == 2 and c["tape_unmeasured"] == 0
+    assert c["tape_bytes"] > 0

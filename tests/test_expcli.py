@@ -3,6 +3,7 @@ round trips, config precedence, and exit codes."""
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import runpy
@@ -246,7 +247,8 @@ class TestScripts:
             return EXIT_OK
 
         monkeypatch.setattr(cli, "main", record)
-        scripts = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+        scripts = sorted(p for p in (Path(__file__).parents[1] / "scripts").glob("*.py")
+                         if p.name != "digest_probe.py")
         assert scripts
         for script in scripts:
             monkeypatch.setattr(sys, "argv", [str(script), "model.ckpt"]
@@ -258,6 +260,16 @@ class TestScripts:
         assert len(argvs) == 11
         for argv in argvs:
             build_parser().parse_args(argv)
+
+    def test_digest_probe_argv_parses(self):
+        """scripts/digest_probe.py runs its commands with the parser's argv."""
+        spec = importlib.util.spec_from_file_location(
+            "digest_probe", Path(__file__).parents[1] / "scripts" / "digest_probe.py")
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        assert {argv[0] for _, argv in probe.COMMANDS} == set(COMMANDS)
+        for name, argv in probe.COMMANDS:
+            build_parser().parse_args(argv + ["--out", name])
 
 
 class TestToyCommand:

@@ -14,7 +14,8 @@ from anodelab.models import (Model, ModelSpec, augment, features,
                              match_conv_filters, node_forward, param_count,
                              param_shapes, vector_field)
 from anodelab.odeint import SolverConfig, _CountingDynamics
-from anodelab.tensorgrad import Tensor
+from anodelab.tensorgrad import CompGraph, Tensor, backward
+from reference import add, concat
 
 
 class TestModelSpec:
@@ -68,6 +69,18 @@ class TestAugment:
         out = augment(Tensor(x), 2)
         assert out.shape == (2, 5, 4, 4)
         assert np.all(out.data[:, 3:] == 0.0)
+
+    @pytest.mark.parametrize("shape,axis", [((3, 2), -1), ((2, 3, 4, 4), 1)])
+    def test_leaf_with_concat_bits(self, shape, axis):
+        # a leaf, not a tape node: a model's input never takes a gradient
+        x = Tensor(np.random.default_rng(0).standard_normal(shape))
+        with CompGraph() as g:
+            out = augment(x, 2)
+        zeros = list(shape)
+        zeros[axis] = 2
+        want = concat([x, Tensor(np.zeros(zeros))], axis=axis).data
+        assert len(g) == 0 and out._serial == 0 and out.grad is None
+        assert out.data.tobytes() == want.tobytes() and out.data.strides == want.strides
 
 
 class TestParamCount:
@@ -174,6 +187,31 @@ class TestForward:
             z = np.maximum(z @ w[1] + b[1], 0.0)
             h = h + (z @ w[2] + b[2])
         assert np.allclose(node_forward(m, x)[0].data, m.head(Tensor(h)).data)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_resnet_residual_matches_add_chain(self, seed):
+        # the residual update as lincomb((1, 1), ...) gives the bits of the
+        # broadcasting add it replaced, in the states and every gradient
+        m = Model(ModelSpec(kind="resnet", resnet_layers=3, input_dim=2,
+                            hidden_dim=8, output_dim=2), seed=seed)
+        x = np.random.default_rng(seed).standard_normal((16, 2))
+        y = np.random.default_rng(seed + 1).standard_normal(32)
+
+        def run(forward):
+            m.params.zero_grad()
+            with CompGraph() as g:
+                out = forward()
+                loss = tg.mse(out, y)
+            backward(g, loss)
+            return out.data.tobytes(), m.params.grad.tobytes()
+
+        def add_chain():
+            h = Tensor(x)
+            for layer in m.layers:
+                h = add(h, tg.mlp(h, None, layer))
+            return m.head(h)
+
+        assert run(lambda: node_forward(m, Tensor(x))[0]) == run(add_chain)
 
     def test_identity_head_returns_state(self):
         m = Model(ModelSpec(kind="node", input_dim=1, output_dim=1,

@@ -4,14 +4,21 @@ discrete trajectory."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from anodelab import odeint
 from anodelab import tensorgrad as tg
+from anodelab.data import LabeledSet
+from anodelab.models import Model, ModelSpec
 from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
                              SolverConfig, StepLimitError, _initial_step,
-                             adapt_step, dopri5_step, error_norm, integrate)
+                             _stage_sum, _sum_plan, adapt_step, dopri5_step,
+                             error_norm, integrate)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
+from anodelab.train import TrainConfig, fit
+from reference import flat_dopri5_step
 
 
 class Linear:
@@ -428,14 +435,15 @@ class TestStepController:
         assert row0_error(a, False) > 10.0
 
     def test_dopri5_step_fsal_row(self):
-        # the step returns its seven stages, the given k1 first; the last,
-        # k7 at the accepted point, is the next step's k1
+        # the step's buffer holds h and its seven stages, the given k1
+        # first; the last, k7 at the accepted point, is the next step's k1
         f = Scalar()
         h = Tensor([1.0])
         k1 = f.eval(h, 0.0)
-        h_next, err, ks = dopri5_step(f, h, 0.0, 0.1, k1)
-        assert len(ks) == 7 and ks[0] is k1
-        assert np.allclose(ks[-1].data, h_next.data)  # dh/dt = h
+        h_next, err, stages = dopri5_step(f, h, 0.0, 0.1, k1)
+        assert stages.K.shape == (8, 1)
+        assert stages.K[0] == h.data and stages.K[1] == k1.data
+        assert np.allclose(stages.fsal().data, h_next.data)  # dh/dt = h
 
 
 class TestInitialStep:
@@ -495,3 +503,147 @@ class TestDifferentiation:
             return tg.mse(sol.states[-1], np.zeros(x.shape))
 
         assert tg.grad_check(loss_fn, params) < 1e-5
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# every float the stacked sum must add as lincomb does, signed zeros and
+# subnormals included
+EDGE_FLOATS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1.0, -1.0]))
+
+
+class TestFusedAttempt:
+    """dopri5_step is one tape node per attempt (Dopri5Stages); it must give
+    the values, NFE and gradients of the flat tape of lincomb and f.eval
+    nodes it replaced, which the tests keep as flat_dopri5_step."""
+
+    @given(st.sampled_from([(), (1,), (1, 1), (3,), (1, 4), (5, 2), (2, 1, 3, 3)]),
+           st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_sum_matches_lincomb(self, shape, n, data):
+        # every state shape the solver sees, a span of up to 8 rows and up
+        # to 7 terms (a sum of the step has at most 7), zero coefficients
+        # among them skipped as lincomb skips them: a one-element state is
+        # where NumPy's reduce sums along the term axis itself
+        K = data.draw(arrays(np.float64, (n,) + shape, elements=st.one_of(
+            EDGE_FLOATS, st.sampled_from([np.inf, -np.inf]))))
+        c = data.draw(arrays(np.float64, (n,), elements=EDGE_FLOATS))
+        c[0] = data.draw(st.sampled_from([1.0, -2.5, 5e-324]))
+        c[-1] = data.draw(st.sampled_from([c[-1], 0.75]))
+        cols = np.flatnonzero(c)
+        assume(len(cols) <= 7 and cols[-1] == n - 1)
+        with np.errstate(all="ignore"):
+            got = _stage_sum(c.reshape((n,) + (1,) * len(shape)), K,
+                             _sum_plan(c), np.empty_like(K))
+            want = tg.lincomb(tuple(c), [Tensor._wrap(k) for k in K]).data
+        assert got.shape == want.shape
+        assert bits(got).tolist() == bits(want).tolist()
+
+    @staticmethod
+    def solve(step, spec, x0, t0, times, cfg, per_sample, loss_at, seed=4):
+        # a solve with this step in integrate's table, differentiated with
+        # respect to x0 and every parameter through the states in loss_at
+        odeint._STEPS["dopri5"] = step
+        try:
+            model = Model(spec, seed=seed)
+            x = Tensor(x0, requires_grad=True)
+            with CompGraph() as g:
+                sol = integrate(model.dynamics, x, t0, times, cfg,
+                                per_sample=per_sample)
+                picked = [sol.states[i] for i in loss_at]
+                weights = tuple(0.5 + i for i in range(len(picked)))
+                loss = tg.mse(tg.lincomb(weights, picked), np.zeros(x.size))
+            backward(g, loss)
+        finally:
+            odeint._STEPS["dopri5"] = dopri5_step
+        counts = (sol.nfe, sol.steps_accepted, sol.steps_rejected)
+        return counts, [s.data for s in sol.states] + [x.grad, model.params.grad], len(g)
+
+    MLP = ModelSpec(kind="node", input_dim=2, hidden_dim=16)
+    ANODE = ModelSpec(kind="anode", input_dim=2, p=3, hidden_dim=8)
+    CONV = ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=4, conv=True)
+
+    @pytest.mark.parametrize("spec,shape,t0,times,tol,per_sample,loss_at", [
+        (MLP, (64, 2), 0.0, [1.0], 1e-3, False, [0]),
+        (ANODE, (16, 5), 0.0, [1.0], 1e-3, False, [0]),
+        (CONV, (3, 2, 4, 4), 0.0, [1.0], 1e-3, False, [0]),
+        # the flat tape hands convnet's backward some stage gradients in the
+        # channel-major order of convnet's input gradient; its bias gradient
+        # rounds by that order
+        (CONV, (3, 2, 4, 4), 0.0, [0.5, 1.0], 1e-3, False, [0, 1]),
+        # tight tolerances reject attempts; FSAL runs across every step
+        (MLP, (8, 2), 0.0, [1.0], 1e-7, False, [0]),
+        (CONV, (2, 2, 3, 3), 0.0, [1.0], 1e-7, True, [0]),
+        # dense outputs, and the start state, on a taped multi-time solve
+        (ANODE, (8, 5), 0.0, [0.0, 0.3, 0.7, 1.0], 1e-5, False, [0, 1, 2, 3]),
+        # only an interpolated state reaches the loss
+        (MLP, (8, 2), 0.0, [0.37, 1.0], 1e-4, False, [0]),
+        # backward in time, per-sample error control
+        (ANODE, (8, 5), 1.0, [0.5, -0.4], 1e-5, True, [0, 1]),
+        (MLP, (8, 2), 1.0, [0.0], 1e-6, True, [0]),
+        # batch 1, one-element state
+        (ModelSpec(kind="node", input_dim=1, hidden_dim=8), (1, 1), 0.0,
+         [0.5, 1.0], 1e-7, False, [0, 1]),
+    ], ids=["node", "anode", "conv", "conv-dense", "rejected", "conv-rejected", "dense",
+            "dense-only", "backward-in-time", "per-sample", "batch1-1d"])
+    def test_matches_flat_tape(self, request, spec, shape, t0, times, tol,
+                               per_sample, loss_at):
+        # an augmented state's last features or channels start at zero, as
+        # the model's forward pass augments them
+        x0 = np.random.default_rng(3).standard_normal(shape)
+        x0[:, spec.state_dim - spec.aug:] = 0.0
+        cfg = SolverConfig(rtol=tol, atol=tol)
+        counts, got, nodes = self.solve(dopri5_step, spec, x0, t0, times, cfg,
+                                        per_sample, loss_at)
+        ref_counts, want, _ = self.solve(flat_dopri5_step, spec, x0, t0, times,
+                                         cfg, per_sample, loss_at)
+        assert counts == ref_counts
+        nfe, accepted, rejected = counts
+        if "rejected" in request.node.callspec.id:
+            assert rejected > 0
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and bits(a).tolist() == bits(b).tolist()
+        # one node per attempt, one for each accepted attempt's k7, one per
+        # interpolated state; then the first k1's and the loss's two
+        dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
+        assert nodes == accepted + rejected + accepted + dense + 1 + 2
+
+    @pytest.mark.parametrize("spec", [MLP, ANODE, CONV], ids=["node", "anode", "conv"])
+    def test_fit_matches_flat_tape(self, monkeypatch, spec):
+        # two epochs of cross-entropy training with dopri5 and a validation
+        # pass: records and trained parameters are identical
+        rng = np.random.default_rng(5)
+        shape = (24, 1, 4, 4) if spec.conv else (24, spec.input_dim)
+        train_set = LabeledSet(rng.standard_normal(shape), rng.integers(0, 2, 24))
+        val_set = LabeledSet(rng.standard_normal((8,) + shape[1:]),
+                             rng.integers(0, 2, 8))
+        spec = ModelSpec(kind=spec.kind, input_dim=spec.input_dim, p=spec.p,
+                         hidden_dim=spec.hidden_dim, output_dim=2, conv=spec.conv)
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-2)
+        runs = []
+        for step in (dopri5_step, flat_dopri5_step):
+            monkeypatch.setitem(odeint._STEPS, "dopri5", step)
+            model = Model(spec, seed=2)
+            runs.append((fit(model, train_set, val_set, cfg), model))
+        (fused, model), (ref, ref_model) = runs
+        assert fused.error is None and fused.epochs[0].nfe_forward_mean > 1
+        assert fused.deterministic_rows() == ref.deterministic_rows()
+        assert model.params.data.tobytes() == ref_model.params.data.tobytes()
+
+    def test_no_grad_records_nothing(self):
+        f = Scalar(0.7)
+        h = Tensor([[1.0], [-2.0]])
+        with CompGraph() as g:
+            with tg.no_grad():
+                h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
+                stages.dense(np.full(7, 0.01))
+                stages.fsal()
+        assert len(g) == 0 and stages.sub is None
+        with CompGraph() as g:
+            h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
+        # the first k1's node, then the attempt's; the six evaluations are
+        # on the attempt's own graph
+        assert len(g) == 2 and h_next._id == 1 and len(stages.sub) == 12
