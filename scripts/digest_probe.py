@@ -6,8 +6,9 @@ It runs CLI commands (toy, generalization, nfe, sweep, mnist-mini on
 synthetic IDX files, export-flows) in a temporary directory and hashes every
 file they write, their exit codes and their stdout, with the wall-clock
 column ``wall_ms`` left out of each ``*_train.csv``.  Then it runs taped
-in-process solves and hashes their states, evaluation and step counts, and
-the gradients of a loss with respect to the input and every parameter.
+in-process solves (dopri5, Euler and RK4) and hashes their states,
+evaluation and step counts, and the gradients of a loss with respect to the
+input and every parameter, and hashes one vector field.
 
     python scripts/digest_probe.py > a.txt      # in one checkout
     python scripts/digest_probe.py > b.txt      # in the other
@@ -30,7 +31,7 @@ import numpy as np  # noqa: E402
 
 from anodelab import data, expcli  # noqa: E402
 from anodelab import tensorgrad as tg  # noqa: E402
-from anodelab.models import Model, ModelSpec  # noqa: E402
+from anodelab.models import Model, ModelSpec, vector_field  # noqa: E402
 from anodelab.odeint import SolverConfig, integrate  # noqa: E402
 
 COMMANDS = [
@@ -102,36 +103,43 @@ def run_commands(work: Path) -> None:
             print(f"{sha(file_bytes(path))}  {path.relative_to(work).as_posix()}")
 
 
+def tol(value: float) -> SolverConfig:
+    return SolverConfig(rtol=value, atol=value)
+
+
+NODE = ModelSpec(kind="node", input_dim=2, hidden_dim=16)
+ANODE = ModelSpec(kind="anode", input_dim=2, p=3, hidden_dim=8)
+CONV = ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=4, conv=True)
 SOLVES = [
-    # (name, spec, input shape, t0, times, tolerance, per_sample)
-    ("node", ModelSpec(kind="node", input_dim=2, hidden_dim=16), (64, 2),
-     0.0, [1.0], 1e-3, False),
-    ("anode-dense", ModelSpec(kind="anode", input_dim=2, p=3, hidden_dim=8),
-     (16, 2), 0.0, [0.0, 0.3, 0.7, 1.0], 1e-5, False),
-    ("node-rejected", ModelSpec(kind="node", input_dim=2, hidden_dim=16), (8, 2),
-     0.0, [0.37, 1.0], 1e-7, False),
-    ("anode-backward-per-sample", ModelSpec(kind="anode", input_dim=2, p=3,
-                                            hidden_dim=8),
-     (8, 2), 1.0, [0.5, -0.4], 1e-5, True),
+    # (name, spec, input shape, t0, times, solver, per_sample)
+    ("node", NODE, (64, 2), 0.0, [1.0], tol(1e-3), False),
+    ("anode-dense", ANODE, (16, 2), 0.0, [0.0, 0.3, 0.7, 1.0], tol(1e-5), False),
+    ("node-rejected", NODE, (8, 2), 0.0, [0.37, 1.0], tol(1e-7), False),
+    ("anode-backward-per-sample", ANODE, (8, 2), 1.0, [0.5, -0.4], tol(1e-5), True),
     ("node-batch1-1d", ModelSpec(kind="node", input_dim=1, hidden_dim=8), (1, 1),
-     0.0, [0.5, 1.0], 1e-7, False),
-    ("conv", ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=4, conv=True),
-     (3, 1, 4, 4), 0.0, [0.5, 1.0], 1e-6, False),
+     0.0, [0.5, 1.0], tol(1e-7), False),
+    ("conv", CONV, (3, 1, 4, 4), 0.0, [0.5, 1.0], tol(1e-6), False),
+    ("euler-anode", ANODE, (16, 2), 0.0, [0.5, 1.0],
+     SolverConfig(method="euler", fixed_step=0.1), False),
+    ("rk4-node-backward", NODE, (8, 2), 1.0, [0.3, -0.2],
+     SolverConfig(method="rk4", fixed_step=0.15), False),
+    ("rk4-conv", CONV, (3, 1, 4, 4), 0.0, [1.0],
+     SolverConfig(method="rk4", fixed_step=0.25), False),
 ]
 
 
 def run_solves() -> None:
-    for name, spec, shape, t0, times, tol, per_sample in SOLVES:
+    for name, spec, shape, t0, times, cfg, per_sample in SOLVES:
         model = Model(spec, seed=3)
         x0 = np.random.default_rng(5).standard_normal(shape)
         if spec.aug:
             pad = list(shape)
             pad[1 if spec.conv else -1] = spec.aug
             x0 = np.concatenate([x0, np.zeros(pad)], axis=1 if spec.conv else -1)
-        x = tg.Tensor(x0, requires_grad=True)
+        x = tg.Tensor(x0)
+        x.grad = np.zeros_like(x0)
         with tg.CompGraph() as g:
-            sol = integrate(model.dynamics, x, t0, times,
-                            SolverConfig(rtol=tol, atol=tol), per_sample=per_sample)
+            sol = integrate(model.dynamics, x, t0, times, cfg, per_sample=per_sample)
             weights = tuple(0.5 + i for i in range(len(sol.states)))
             loss = tg.mse(tg.lincomb(weights, sol.states), np.zeros(x.size))
         tg.backward(g, loss)
@@ -141,6 +149,10 @@ def run_solves() -> None:
         print(f"{sha(x.grad.tobytes())}  solve/{name}/input_grad")
         for pname, p in model.params.items():
             print(f"{sha(p.grad.tobytes())}  solve/{name}/grad/{pname}")
+    model = Model(ModelSpec(kind="anode", input_dim=2, p=1, hidden_dim=16), seed=3)
+    grid = np.random.default_rng(6).uniform(-2.0, 2.0, (50, 3))
+    field = vector_field(model, grid, [0.0, 0.45, 1.0])
+    print(f"{sha(field.tobytes())}  vector_field/anode")
 
 
 def main() -> int:

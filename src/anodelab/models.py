@@ -138,13 +138,16 @@ class MlpDynamics:
 
     layers: list[tuple[Tensor, Tensor]]
 
+    def __post_init__(self):  # d state columns and the time column in, d out
+        tg.check_mlp(self.layers, self.layers[-1][0].shape[-1] + 1 if self.layers else 0)
+
     @staticmethod
     def init(params: ParamSet, rng, dim: int, hidden: int, prefix: str = "dyn"):
         shapes = _mlp(prefix, (dim + 1, hidden, hidden, dim))
         return MlpDynamics(_add_params(params, rng, shapes))
 
-    def eval(self, h: Tensor, t: float) -> Tensor:
-        return tg.mlp(h, t, self.layers)
+    def eval(self, h: np.ndarray, t: float):
+        return tg.mlp_vjp(h, t, self.layers)
 
 
 @dataclass(eq=False)
@@ -154,7 +157,10 @@ class ConvDynamics:
 
     layers: list[tuple[Tensor, Tensor]]
 
-    def eval(self, h: Tensor, t: float) -> Tensor:
+    def __post_init__(self):  # as many channels out as the state has
+        tg.check_convnet(self.layers, self.layers[-1][0].shape[0] if self.layers else 0)
+
+    def eval(self, h: np.ndarray, t: float):
         return tg.convnet(h, t, self.layers)
 
 
@@ -275,9 +281,8 @@ def vector_field(model: Model, grid: np.ndarray,
         raise ValueError("resnet baseline has no continuous vector field")
     pts = np.atleast_2d(np.asarray(grid, dtype=np.float64))
     out = np.empty((len(t_slices), pts.shape[0], pts.shape[1]))
-    with tg.no_grad():
-        for i, t in enumerate(t_slices):
-            out[i] = model.dynamics.eval(Tensor(pts), float(t)).data
+    for i, t in enumerate(t_slices):
+        out[i] = model.dynamics.eval(pts, float(t))[0]
     return out
 
 

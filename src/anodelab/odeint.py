@@ -2,9 +2,10 @@
 
 Fixed-step Euler and RK4, and adaptive Dormand-Prince RK45 with the FSAL
 property, behind one step interface (_STEPS) and one integration loop
-(integrate).  All state arithmetic is recorded on the active CompGraph, so
-backward() differentiates through the solver (discretize-then-optimize):
-Euler and RK4 through lincomb primitives, dopri5 through one node per
+(integrate), over dynamics that evaluate on arrays (Dynamics).  All state
+arithmetic is recorded on the active CompGraph, so backward()
+differentiates through the solver (discretize-then-optimize): Euler and RK4
+through lincomb and one node per evaluation, dopri5 through one node per
 attempt (Dopri5Stages).  Step-size control operates on detached values and
 is not differentiated.
 """
@@ -12,7 +13,7 @@ is not differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -33,13 +34,23 @@ class DivergenceError(RuntimeError):
 
 
 class Dynamics(Protocol):
-    def eval(self, h: Tensor, t: float) -> Tensor: ...
+    # f(h, t) and vjp(g), which adds into the parameters' .grad and returns
+    # h's gradient
+    def eval(self, h: np.ndarray, t: float) -> tuple[np.ndarray, Callable]: ...
 
 
 # the fixed constants of the dopri5 step controller (adapt_step)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+# and of Hairer's stiffness test on accepted dopri5 steps (integrate): on
+# every STIFF_EVERY-th and on each while the count of steps with h*lambda
+# above STIFF_BOUND runs; STIFF_STEPS of them end the solve, NONSTIFF_STEPS
+# in a row at or below it reset the count
+STIFF_EVERY = 1000
+STIFF_BOUND = 3.25
+STIFF_STEPS = 15
+NONSTIFF_STEPS = 6
 
 
 @dataclass
@@ -132,7 +143,7 @@ class _CountingDynamics:
         self.f = f
         self.nfe = 0
 
-    def eval(self, h: Tensor, t: float) -> Tensor:
+    def eval(self, h: np.ndarray, t: float):
         self.nfe += 1
         return self.f.eval(h, t)
 
@@ -161,52 +172,44 @@ class Dopri5Stages:
     k1 = f(h, t): its seven stages k1..k7 as rows 1..7 of one buffer ``K``,
     whose row 0 is h, and each stage sum as one _stage_sum over ``K``.
 
-    On a tape the attempt is one node, ``h_next``.  The six evaluations run
-    through f.eval on a private graph, which the node's backward replays.
-    After an accepted attempt, each dense output (``dense``) and k7, the
-    next attempt's k1 (``fsal``), is a small node of its own that leaves its
-    gradient with the attempt.  The backward walks the stage sums and the
-    evaluations in the reverse order of the flat tape of lincomb and f.eval
-    nodes that it replaces.  It hands back h's and k1's term of each sum as
-    a pair of its own and adds up each stage's terms one by one, as that
-    tape did, so every gradient has the flat tape's bits and memory order.
-    (convnet's bias gradient is a reduce, whose rounding follows the memory
-    order.)  With no active graph nothing is recorded."""
+    On a tape the attempt is one node, ``h_next``, which keeps its six
+    evaluations' vjps.  After an accepted attempt, each dense output
+    (``dense``) and k7, the next attempt's k1 (``fsal``), is a small node
+    that leaves its gradient with the attempt.  The backward walks the
+    stage sums and the vjps in the reverse order of the flat tape of
+    lincomb and evaluation nodes that it replaces.  It hands back h's and
+    k1's term of each sum as a pair of its own and adds up each stage's
+    terms one by one, as that tape did, so every gradient has the flat
+    tape's bits and memory order (convnet's bias gradient is a reduce,
+    whose rounding follows it).  With no active graph nothing is kept."""
 
     def __init__(self, f, h: Tensor, t: float, dt: float, k1: Tensor):
         shape = h.data.shape
-        self.h, self.k1 = h, k1
+        self.h, self.k1, self.dt = h, k1, dt
         self.K = K = np.empty((8,) + shape)
         K[0], K[1] = h.data, k1.data
         c = dt * _DP_W
         c[:6, 0] = 1.0
         self.w = w = c.reshape(c.shape + (1,) * len(shape))
-        self.sub = sub = tg.CompGraph() if tg.active_graph() is not None else None
+        self.vjps = [] if tg.active_graph() is not None else None
         # one scratch array for the products of every stage sum (at most 7
         # rows): a product of a large state allocated anew would be mapped
         # and faulted in each time
         P = np.empty((7,) + shape)
-        self.ys, self.ks = [], []  # on the private graph: each stage's input, output
-        with sub if sub is not None else tg.no_grad():
-            for i in range(6):
-                y = tg.record(_stage_sum(w[i], K, _DP_PLAN[i], P), None)
-                k = f.eval(y, t + _DP_C[i + 1] * dt)
-                K[i + 2] = k.data
-                if sub is not None:
-                    if k._serial == sub.serial:
-                        k.data = K[i + 2]  # the stage lives in the buffer alone
-                    self.ys.append(y)
-                    self.ks.append(k)
+        for i in range(6):
+            y = _stage_sum(w[i], K, _DP_PLAN[i], P)
+            K[i + 2], vjp = f.eval(y, t + _DP_C[i + 1] * dt)
+            if self.vjps is not None:
+                self.vjps.append(vjp)
         self.err = _stage_sum(w[6], K, _DP_PLAN[6], P)
         self.G = None  # each stage's gradient, summed term by term in backward
         # h_next has the bits of stage 7's input, the same sum
-        self.h_next = tg.record(y.data, self._backward)
+        self.h_next = tg.record(y, self._backward)
 
     def dense(self, coeffs: np.ndarray) -> Tensor:
         """h + sum_i coeffs[i] * k_(i+1), term by term as lincomb sums it: a
         state on the attempt's span from the continuous extension's weights
-        ``coeffs`` (an export asks for many, so each stays one pass over
-        the state per term)."""
+        (an export asks for many, so each is one pass per term)."""
         K = self.K
         cols = (np.flatnonzero(coeffs) + 1).tolist()
         c = np.append(1.0, coeffs)
@@ -230,8 +233,16 @@ class Dopri5Stages:
     def fsal(self) -> Tensor:
         """k7 = f(h_next), the next attempt's k1 (first same as last).  With
         nothing recorded it is a copy, so the buffer goes with the attempt."""
-        k7 = self.K[7] if self.sub is not None else self.K[7].copy()
+        k7 = self.K[7] if self.vjps is not None else self.K[7].copy()
         return tg.record(k7, lambda g: self._stage_grad((7,), (g,)))
+
+    def stiffness(self) -> float:
+        """Hairer's h*lambda (Solving ODEs II, sec. IV.2, his DOPRI5 code):
+        |dt| * ||k7 - k6|| / ||h_next - y6||, y6 stage 6's input (row 4)."""
+        K = self.K
+        dy = self.h_next.data - _stage_sum(self.w[4], K, _DP_PLAN[4], np.empty_like(K))
+        dk, den = K[7] - K[6], np.vdot(dy, dy)
+        return abs(self.dt) * float(np.sqrt(np.vdot(dk, dk) / den)) if den else 0.0
 
     def _stage_grad(self, rows, terms) -> tuple:
         # the gradient terms of stages ``rows``, added to each stage's sum;
@@ -255,47 +266,29 @@ class Dopri5Stages:
         # a generator: the tape's loop takes each pair as it comes, so no
         # term waits in a list for the whole attempt
         yield from self._sum_backward(5, g)
-        G, sub = self.G, self.sub
-        grads, out = [None] * len(sub.nodes), []
-        top = len(grads) - 1
-        for i in range(5, -1, -1):  # stage i + 2, from its input ys[i]
-            k, y, gk = self.ks[i], self.ys[i], G[i + 2]
-            if gk is not None:
-                if k._serial != sub.serial:
-                    yield k, gk
-                else:
-                    grads[k._id] = gk if grads[k._id] is None else grads[k._id] + gk
-            tg.replay(sub, grads, top, y._id, out)
-            yield from out
-            out.clear()
-            top = y._id - 1
-            gy, grads[y._id] = grads[y._id], None
-            if gy is not None:
-                yield from self._sum_backward(i, gy)
+        G = self.G
+        for i in range(5, -1, -1):  # stage i + 2, from its input, row i's sum
+            if G[i + 2] is not None:
+                yield from self._sum_backward(i, self.vjps[i](G[i + 2]))
         self.G = None
 
 
 def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
-    """One Dormand-Prince attempt from (h, t) with signed step dt, given
-    k1 = f(h, t).
-
-    Returns (h_next, error_estimate_array, stages), a Dopri5Stages; its
-    k7 = f(h_next) is reused as the next step's k1 when the step is accepted
-    (FSAL), so every attempt costs 6 new evaluations.
-    """
+    """A Dopri5Stages as a step: (h_next, error estimate, stages).  Its k7
+    is the next step's k1 (FSAL), so an attempt costs 6 evaluations."""
     stages = Dopri5Stages(f, h, t, dt, k1)
     return stages.h_next, stages.err, stages
 
 
 def _euler_step(f, h, t, dt, _k1):
-    return lincomb((1.0, dt), (h, f.eval(h, t))), None, None
+    return lincomb((1.0, dt), (h, tg.vjp_node(f.eval, h, t))), None, None
 
 
 def _rk4_step(f, h, t, dt, _k1):
-    k1 = f.eval(h, t)
-    k2 = f.eval(lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
-    k3 = f.eval(lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
-    k4 = f.eval(lincomb((1.0, dt), (h, k3)), t + dt)
+    k1 = tg.vjp_node(f.eval, h, t)
+    k2 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
+    k3 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
+    k4 = tg.vjp_node(f.eval, lincomb((1.0, dt), (h, k3)), t + dt)
     return (lincomb((1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4)),
             None, None)
 
@@ -316,11 +309,17 @@ def error_norm(err: np.ndarray, h: np.ndarray, h_next: np.ndarray,
     of each sample and the worst sample's RMS is returned, so every sample's
     error is held to tolerance.  A state with ndim <= 1 is one sample.
     """
-    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(h), np.abs(h_next))
-    sq = (err / scale) ** 2
+    if np.ndim(h) == 0:  # the temporary below must be an array
+        err, h, h_next = np.reshape(err, 1), np.reshape(h, 1), np.reshape(h_next, 1)
+    # (err / (atol + rtol * max(|h|, |h_next|)))^2 in one temporary
+    sq = np.abs(h)
+    np.maximum(sq, np.abs(h_next), out=sq)
+    sq *= cfg.rtol
+    sq += cfg.atol
+    np.square(np.divide(err, sq, out=sq), out=sq)
     if per_sample and sq.ndim > 1:
         return float(np.sqrt(np.max(sq.reshape(len(sq), -1).mean(axis=1))))
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.add.reduce(sq, axis=None) / sq.size))
 
 
 def adapt_step(error_norm: float, dt: float) -> tuple[bool, float]:
@@ -371,7 +370,8 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     adaptive steps only at times[-1], so its steps, NFE and last state are
     those of the solve to times[-1] alone; an accepted step records each
     output time it passed, within 1e-12 of its end as its end state, else by
-    the 4th-order continuous extension (one lincomb, no evaluation).
+    the 4th-order continuous extension (one lincomb, no evaluation).  From
+    accepted step 1000 on, a stiffness test (STIFF_*) may end a dopri5 solve.
     """
     cfg = cfg or SolverConfig()
     if len(times) == 0:
@@ -391,7 +391,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     t, h, k1 = t0, x0, None
     span = abs(times[-1] - t0)
     if not fixed and span > 1e-12:
-        k1 = f.eval(h, t)
+        k1 = tg.vjp_node(f.eval, h, t)
         if not np.all(np.isfinite(k1.data)):
             raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
         dt = direction * _initial_step(k1.data, x0.data, span, cfg)
@@ -412,6 +412,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
 
     record(t, h)
     accepted = rejected = 0
+    stiff = nonstiff = 0  # Hairer's counts of stiff and of non-stiff steps
     for target in (times if fixed else times[-1:]):
         if direction * (target - t) > 1e-12:  # target ends a segment
             if fixed:
@@ -425,7 +426,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                 if not fixed and direction * (t + dt - target) > 0:
                     dt_try = target - t  # clip to the last output time
                 h_next, err, stages = step(f, h, t, dt_try, k1)
-                if not np.all(np.isfinite(h_next.data)):
+                if not np.isfinite(h_next.data).all():
                     raise DivergenceError(f"{cfg.method}: non-finite state "
                                           f"at t={t:.6g}")
                 accept = err is None
@@ -438,6 +439,17 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                         record(t + dt_try, h_next, stages)
                     t, h, k1 = t + dt_try, h_next, stages and stages.fsal()
                     accepted += 1
+                    if stages and (accepted % STIFF_EVERY == 0 or stiff):
+                        if stages.stiffness() > STIFF_BOUND:
+                            stiff, nonstiff = stiff + 1, 0
+                        else:
+                            nonstiff += 1
+                            if nonstiff == NONSTIFF_STEPS:
+                                stiff = 0
+                        if stiff == STIFF_STEPS:
+                            raise StepLimitError(
+                                f"dopri5: the problem turned stiff at t={t:.6g} "
+                                f"({accepted} steps accepted)", f.nfe)
                 else:
                     rejected += 1
                 stages = None  # its buffers go before the next attempt's

@@ -4,16 +4,17 @@ The engine is tape-based: while a :class:`CompGraph` is active, every primitive
 records one node (its output tensor and its backward rule).  Leaves
 (parameters, inputs, constants) are never recorded.  ``backward`` walks the
 tape once in reverse; a gradient that reaches a leaf with a ``.grad`` buffer
-(a parameter, or one created with ``requires_grad=True``) is added into that
+(a parameter of a ``ParamSet``, or a tensor given one) is added into that
 buffer, and one that reaches any other leaf is dropped.  A tensor knows its
 graph only by serial number, so nothing refers back to a tape, and reference
 counting frees the tape as soon as its graph is unbound.
 
-Only the primitives the dynamics functions and losses need are provided, and
-none of them broadcasts.  A primitive defined elsewhere (the solver's fused
-dopri5 attempt) records its node with ``record``, and may keep a private
-graph of its own that its backward rule runs with ``replay``, the loop that
-``backward`` runs over the tape.
+Only the primitives the models and losses need are provided, and none of
+them broadcasts.  The dynamics blocks ``mlp_vjp`` and ``convnet`` work on
+arrays: each returns its output and a ``vjp`` that adds the parameters'
+gradients into their ``.grad`` and returns the input's gradient.
+``vjp_node`` records such a pair as one node; the solver's dopri5 attempt
+keeps each stage's ``vjp`` and records its own node with ``record``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ class no_grad:
 
     def __enter__(self):
         global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = None
-        return self
+        self._prev, _ACTIVE = _ACTIVE, None
 
     def __exit__(self, *exc):
         global _ACTIVE
         _ACTIVE = self._prev
-        return False
 
 
 class _Node:
@@ -77,17 +75,14 @@ class CompGraph:
 
     def __enter__(self) -> "CompGraph":
         global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = self
+        self._prev, _ACTIVE = _ACTIVE, self
         return self
 
     def __exit__(self, *exc):
         global _ACTIVE
         # drop the reference to the enclosing graph: a graph entered inside
-        # another one's node (a fused primitive's private graph) would
-        # otherwise close a reference cycle through that node
+        # another one's node would otherwise close a cycle through that node
         _ACTIVE, self._prev = self._prev, None
-        return False
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -98,12 +93,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_serial", "_id")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf tensor contains non-finite entries")
         self.data = arr
-        self.grad: np.ndarray | None = np.zeros_like(arr) if requires_grad else None
+        self.grad: np.ndarray | None = None
         self._serial = 0        # serial number of the graph that computed it
         self._id = -1           # its node index on that graph
 
@@ -129,9 +124,6 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.grad is not None})"
-
 
 def record(data: np.ndarray, backward_fn) -> Tensor:
     """The tensor holding a primitive's result ``data``.  On the active graph
@@ -146,19 +138,6 @@ def record(data: np.ndarray, backward_fn) -> Tensor:
     return t
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return ((a, g @ bd.T), (b, ad.T @ g))
-
-    return record(ad @ bd, bwd)
-
-
 def _relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The one ReLU rule: writes max(pre, 0) into out, which may be pre
     itself, and returns the mask pre > 0 that the gradient passes through
@@ -171,42 +150,46 @@ def _relu(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     return mask
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.empty_like(a.data)
-    mask = _relu(a.data, out)
-
-    def bwd(g):
-        return ((a, g * mask),)
-
-    return record(out, bwd)
+def vjp_node(fn, x: Tensor, *args) -> Tensor:
+    """``fn(x.data, *args)``, an output and its ``vjp``, as one node of input
+    x, whose backward hands x the gradient that ``vjp`` returns."""
+    out, vjp = fn(x.data, *args)
+    return record(out, lambda g: ((x, vjp(g)),))
 
 
-def mlp(x: Tensor, t: float | None,
-        layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """Multilayer perceptron on a (B, n) input as a single tape node.
-
-    Each (W, b) layer maps z to z @ W + b, followed by ReLU on every layer but
-    the last, which is affine.  A float t is appended to every row as an extra
-    input column; t=None means no time input.  Forward and backward repeat,
-    operation for operation, the NumPy arithmetic of the unfused chain
-    concat -> (matmul, add, relu)* -> matmul, add, which the tests keep as the
-    reference, so values and gradients are bit-identical to it."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mlp: input must be 2-d, got {x.shape}")
+def check_mlp(layers: Sequence[tuple[Tensor, Tensor]], width: int) -> None:
+    """ShapeError unless ``layers`` chain (n, m) weights and (m,) biases
+    from ``width`` input columns."""
     if not layers:
         raise ShapeError("mlp: no layers")
-    width = x.shape[1] + (t is not None)
     for w, b in layers:
         if w.data.ndim != 2 or w.shape[0] != width:
             raise ShapeError(f"mlp: weight {w.shape} does not take width {width}")
         if b.shape != (w.shape[1],):
             raise ShapeError(f"mlp: bias {b.shape} does not match weight {w.shape}")
         width = w.shape[1]
-    z = x.data
+
+
+def mlp_vjp(x: np.ndarray, t: float | None,
+            layers: Sequence[tuple[Tensor, Tensor]]):
+    """Multilayer perceptron on a (B, n) array: its output and its vjp.
+
+    Each (W, b) layer (checked where it is built, check_mlp) maps z to
+    z @ W + b, followed by ReLU on every layer but the last.  A float t is
+    appended to every row as an extra input column; t=None means none.
+    Forward and vjp repeat, operation for operation and parameter by
+    parameter, the NumPy arithmetic of the unfused chain concat -> (matmul,
+    add, relu)* -> matmul, add, which the tests keep as the reference, so
+    values and gradients are bit-identical to it."""
+    if x.ndim != 2:
+        raise ShapeError(f"mlp: input must be 2-d, got {x.shape}")
+    z = x
     if t is not None:
         if not math.isfinite(t):
             raise ValueError(f"mlp: non-finite time {t}")
-        z = np.concatenate([z, np.full(z.shape[:-1] + (1,), t)], axis=-1)
+        z = np.empty((x.shape[0], x.shape[1] + 1))
+        z[:, :-1] = x
+        z[:, -1] = t
     acts = [z]      # input of each layer
     masks = []      # ReLU mask of each hidden layer
     for w, b in layers[:-1]:
@@ -219,19 +202,25 @@ def mlp(x: Tensor, t: float | None,
     out = z @ w.data
     out += b.data
 
-    def bwd(g):
-        grads = []
+    def vjp(g):
         for i in range(len(layers) - 1, -1, -1):
             w, b = layers[i]
             if i < len(masks):
                 g = g * masks[i]
-            grads.append((b, g.sum(axis=0)))
-            grads.append((w, acts[i].T @ g))
+            if b.grad is not None:
+                b.grad += g.sum(axis=0)
+            if w.grad is not None:
+                w.grad += acts[i].T @ g
             g = g @ w.data.T
-        grads.append((x, g[:, :-1] if t is not None else g))
-        return grads
+        return g[:, :-1] if t is not None else g
 
-    return record(out, bwd)
+    return out, vjp
+
+
+def mlp(x: Tensor, t: float | None,
+        layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """mlp_vjp on a tensor as one tape node: the head and the resnet blocks."""
+    return vjp_node(mlp_vjp, x, t, layers)
 
 
 def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
@@ -292,24 +281,11 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     return gx, gw, g.sum(axis=(0, 2, 3))
 
 
-def convnet(x: Tensor, t: float,
-            layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """1x1 -> ReLU -> 3x3 (padding 1) -> ReLU -> 1x1 convolution block on a
-    (B, C, H, W) input as a single tape node.
-
-    Each (w, b) layer is an (O, in + 1, k, k) kernel and an (O,) bias; the
-    float t is appended as a constant input channel before each convolution.
-    Forward and backward repeat, operation for operation, the NumPy
-    arithmetic of the unfused chain of tape nodes (concat -> convolution ->
-    relu) x 2 -> concat -> convolution, which the tests keep as the
-    reference, so values and gradients are bit-identical to it.  The
-    backward keeps only the last layer's input: it recomputes the cheap 1x1
-    first layer from x, and the second ReLU's mask from that input."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"convnet: input must be 4-d, got {x.shape}")
+def check_convnet(layers: Sequence[tuple[Tensor, Tensor]], width: int) -> None:
+    """ShapeError unless ``layers`` are convnet's 1x1, 3x3 and 1x1 layers
+    from ``width`` channels, each taking the channels before it plus time."""
     if len(layers) != 3:
         raise ShapeError(f"convnet: need 3 layers, got {len(layers)}")
-    width = x.shape[1]
     for (w, b), k in zip(layers, (1, 3, 1)):
         if w.data.ndim != 4 or w.shape[2:] != (k, k):
             raise ShapeError(f"convnet: weight {w.shape} is not a {k}x{k} kernel")
@@ -319,6 +295,23 @@ def convnet(x: Tensor, t: float,
         if b.shape != (w.shape[0],):
             raise ShapeError(f"convnet: bias {b.shape} does not match filters {w.shape}")
         width = w.shape[0]
+
+
+def convnet(x: np.ndarray, t: float, layers: Sequence[tuple[Tensor, Tensor]]):
+    """1x1 -> ReLU -> 3x3 (padding 1) -> ReLU -> 1x1 convolution block on a
+    (B, C, H, W) array: its output and its vjp.
+
+    Each (w, b) layer (checked where it is built, check_convnet) is an
+    (O, in + 1, k, k) kernel and an (O,) bias; the float t is appended as a
+    constant input channel before each convolution.  Forward and vjp
+    repeat, operation for operation and parameter by parameter, the NumPy
+    arithmetic of the unfused chain (concat -> convolution -> relu) x 2 ->
+    concat -> convolution, which the tests keep as the reference, so values
+    and gradients are bit-identical to it.  The vjp keeps only the last
+    layer's input: it recomputes the cheap 1x1 first layer from x, and the
+    second ReLU's mask from that input."""
+    if x.ndim != 4:
+        raise ShapeError(f"convnet: input must be 4-d, got {x.shape}")
     if not math.isfinite(t):
         raise ValueError(f"convnet: non-finite time {t}")
     (w1, b1), (w2, b2), (w3, b3) = layers
@@ -331,7 +324,7 @@ def convnet(x: Tensor, t: float,
         # the 1x1 inputs are built as the chain's concat builds them: the
         # result takes its inputs' memory order, which einsum's rounding
         # depends on
-        x1 = np.concatenate([x.data, np.full(tchan, t)], axis=1)
+        x1 = np.concatenate([x, np.full(tchan, t)], axis=1)
         pre = conv2d(x1, w1.data, b1.data)
         # ReLU output and time written straight into the padded 3x3 input,
         # which is C-ordered like np.pad's output
@@ -348,7 +341,7 @@ def convnet(x: Tensor, t: float,
     del pre
     out = conv2d(x3, w3.data, b3.data)
 
-    def bwd(g):
+    def vjp(g):
         gx, gw3, gb3 = _conv2d_vjp(g, x3, w3.data, 0)
         # _relu wrote pre where pre > 0.0 and +0.0 elsewhere (NaN included),
         # so x3 > 0.0 is pre > 0.0, in pre's C order
@@ -357,10 +350,12 @@ def convnet(x: Tensor, t: float,
         gx, gw2, gb2 = _conv2d_vjp(gx, x2, w2.data, 1)
         del x2
         gx, gw1, gb1 = _conv2d_vjp(gx[:, :-1] * mask1, x1, w1.data, 0)
-        return ((w3, gw3), (b3, gb3), (w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1),
-                (x, gx[:, :-1]))
+        for p, gp in ((w3, gw3), (b3, gb3), (w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1)):
+            if p.grad is not None:  # as backward skips a leaf without one
+                p.grad += gp
+        return gx[:, :-1]
 
-    return record(out, bwd)
+    return out, vjp
 
 
 def mse(out: Tensor, targets: np.ndarray) -> Tensor:
@@ -398,19 +393,19 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return record(np.float64(nll), bwd)
 
 
-def replay(graph: CompGraph, grads: list, top: int, stop: int,
-           out: list | None = None) -> None:
-    """Run the backward rules of graph's nodes top, top - 1, ..., stop + 1.
-
-    ``grads[i]`` is node i's gradient so far, or None; a node with a
-    gradient hands it to its rule and releases it.  Each (input, gradient)
-    pair the rule returns is added into the input's slot of grads when the
-    input is a node of this graph.  An input computed on another graph is
-    appended to ``out``, when one is given, so that a private graph hands
-    those pairs back to the tape it serves; any other input with a
-    ``.grad`` buffer adds into it, and the rest are dropped."""
+def backward(graph: CompGraph, loss: Tensor) -> None:
+    """Reverse pass over the tape from the scalar ``loss``: each node hands
+    its gradient to its rule, and each (input, gradient) pair the rule
+    returns adds into the input's gradient if the input is a node of this
+    graph, else into its ``.grad`` buffer if it has one."""
+    if loss._serial != graph.serial:
+        raise GraphError("backward: loss tensor was not computed on this graph")
+    if loss.size != 1:
+        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
+    grads: list[np.ndarray | None] = [None] * (loss._id + 1)
+    grads[loss._id] = np.ones_like(loss.data)
     serial, nodes = graph.serial, graph.nodes
-    for nid in range(top, stop, -1):
+    for nid in range(loss._id, -1, -1):
         g = grads[nid]
         if g is None:
             continue
@@ -419,21 +414,8 @@ def replay(graph: CompGraph, grads: list, top: int, stop: int,
             if src._serial == serial:
                 sid = src._id
                 grads[sid] = gi if grads[sid] is None else grads[sid] + gi
-            elif src._serial and out is not None:
-                out.append((src, gi))
             elif src.grad is not None:
                 src.grad += gi
-
-
-def backward(graph: CompGraph, loss: Tensor) -> None:
-    """Reverse pass over the tape; accumulates into leaf ``.grad`` buffers."""
-    if loss._serial != graph.serial:
-        raise GraphError("backward: loss tensor was not computed on this graph")
-    if loss.size != 1:
-        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    grads: list[np.ndarray | None] = [None] * (loss._id + 1)
-    grads[loss._id] = np.ones_like(loss.data)
-    replay(graph, grads, loss._id, -1)
 
 
 class ParamSet:

@@ -1,6 +1,11 @@
 """Frozen references for the fused code in anodelab: the tape primitives and
 the primitive-by-primitive chains that the fused nodes replaced.  The tests
-hold each fused node bit for bit to its reference here."""
+hold each fused node bit for bit to its reference here.  It also holds the
+tests' adapter from tensor-level functions to the array-level dynamics
+interface (``taped``) and their leaves with a gradient buffer
+(``grad_leaf``)."""
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -9,6 +14,77 @@ from anodelab import tensorgrad as tg
 from anodelab.models import ConvDynamics
 from anodelab.odeint import _DP_A, _DP_B5, _DP_C, _DP_E
 from anodelab.tensorgrad import ShapeError, Tensor
+
+
+def grad_leaf(data):
+    """A leaf tensor with a zeroed gradient buffer, which backward adds into."""
+    t = Tensor(data)
+    t.grad = np.zeros_like(t.data)
+    return t
+
+
+def taped(fn):
+    """Array-level dynamics from a tensor-level ``fn(h, t)`` (or a method
+    ``fn(self, h, t)``): the evaluation runs fn on a private graph and
+    returns (k, vjp).  vjp seeds that graph's backward with k's gradient,
+    adding into every ``.grad`` buffer it reaches, and returns h's gradient
+    (zeros if k does not depend on h)."""
+
+    @functools.wraps(fn)
+    def evaluate(*args):
+        *owner, y, t = args
+        graph, gh = tg.CompGraph(), []
+        with graph:
+            h = tg.record(y, lambda g: gh.append(g) or ())
+            k = fn(*owner, h, t)
+
+        def vjp(g):
+            gh.clear()
+            with graph:
+                seed = tg.record(np.zeros(()), lambda _: ((k, g),))
+            tg.backward(graph, seed)
+            return gh[0] if gh else np.zeros_like(y)
+
+        return k.data, vjp
+
+    return evaluate
+
+
+def matmul(a, b):
+    """2-d matrix product as one tape node; src's matrix products are inside
+    mlp_vjp."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    ad, bd = a.data, b.data
+
+    def bwd(g):
+        return ((a, g @ bd.T), (b, ad.T @ g))
+
+    return tg.record(ad @ bd, bwd)
+
+
+def relu(a):
+    """ReLU as one tape node, by the one ReLU rule that mlp_vjp and convnet
+    use inside their nodes."""
+    out = np.empty_like(a.data)
+    mask = tg._relu(a.data, out)
+
+    def bwd(g):
+        return ((a, g * mask),)
+
+    return tg.record(out, bwd)
+
+
+def error_norm_expr(err, h, h_next, cfg, per_sample=False):
+    """Reference for odeint.error_norm: the expression it computes in one
+    temporary."""
+    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(h), np.abs(h_next))
+    sq = (err / scale) ** 2
+    if per_sample and sq.ndim > 1:
+        return float(np.sqrt(np.max(sq.reshape(len(sq), -1).mean(axis=1))))
+    return float(np.sqrt(np.mean(sq)))
 
 
 def _unbroadcast(grad, shape):
@@ -60,9 +136,9 @@ def unfused_mlp(x, t, layers):
     if t is not None:
         z = concat([x, Tensor(np.full(x.shape[:-1] + (1,), t))], axis=-1)
     for i, (w, b) in enumerate(layers):
-        z = add(tg.matmul(z, w), b)
+        z = add(matmul(z, w), b)
         if i < len(layers) - 1:
-            z = tg.relu(z)
+            z = relu(z)
     return z
 
 
@@ -92,18 +168,19 @@ def unfused_convnet(h, t, layers):
         tchan = Tensor(np.full((h.shape[0], 1) + h.shape[2:], t))
         h = frozen_conv2d(concat([h, tchan], axis=1), w, b, padding=i % 2)
         if i < 2:
-            h = tg.relu(h)
+            h = relu(h)
     return h
 
 
 class UnfusedConvDynamics(ConvDynamics):
+    @taped
     def eval(self, h, t):
         return unfused_convnet(h, t, self.layers)
 
 
 class FlatStages:
     """The stages of a flat-tape attempt behind Dopri5Stages' interface: a
-    dense output is one lincomb node, and k7 is the tensor f returned."""
+    dense output is one lincomb node, and k7 is the evaluation's node."""
 
     def __init__(self, h, ks):
         self.h, self.ks = h, ks
@@ -117,11 +194,12 @@ class FlatStages:
 
 def flat_dopri5_step(f, h, t, dt, k1):
     """Reference for odeint.dopri5_step: the attempt as one lincomb node per
-    stage sum and the nodes of each f.eval, all on the outer tape."""
+    stage sum and one node per evaluation (tg.vjp_node, as Euler and RK4
+    record them), all on the outer tape."""
     ks = [k1]
     for i in range(1, 7):
         y = tg.lincomb((1.0,) + tuple(dt * a for a in _DP_A[i]), (h, *ks))
-        ks.append(f.eval(y, t + _DP_C[i] * dt))
+        ks.append(tg.vjp_node(f.eval, y, t + _DP_C[i] * dt))
     h_next = tg.lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
     err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
     return h_next, err, FlatStages(h, ks)

@@ -22,7 +22,7 @@ from anodelab.models import (Model, ModelSpec, MlpDynamics, features,
 from anodelab.odeint import SolverConfig, integrate
 from anodelab.tensorgrad import ParamSet, Tensor, grad_check
 from anodelab.train import TrainConfig, fit, grid_search
-from reference import add
+from reference import add, taped
 
 SEEDS = (0, 1, 2, 3, 4)
 SOLVER = SolverConfig()          # adaptive RK45, rtol = atol = 1e-3
@@ -249,6 +249,7 @@ def test_a07_gronwall_bound():
 
 def test_a08_solver_correctness():
     class Exp:
+        @taped
         def eval(self, h, t):
             return add(h, Tensor(np.zeros(h.shape)))
 
@@ -256,6 +257,7 @@ def test_a08_solver_correctness():
         def __init__(self, a):
             self.a = a
 
+        @taped
         def eval(self, h, t):
             return tg.lincomb((self.a,), (h,))
 

@@ -51,8 +51,10 @@ def test_integrate_hook_reads_cfg_by_position():
     signature: only the dopri5 solve counts toward dopri5_solves and its NFE
     identity, also when cfg is passed by position."""
     from anodelab import odeint, tensorgrad as tg
+    from reference import taped
 
     class Exp:
+        @taped
         def eval(self, h, t):
             return tg.lincomb((1.0,), (h,))
 

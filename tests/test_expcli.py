@@ -861,6 +861,17 @@ class TestSolverFailure:
             "non-finite state at t=")
 
 
+    def test_stiff_solve_ends_the_fit(self, tmp_path, capsys):
+        # the diverging fit's second batch turns stiff: Hairer's test ends
+        # its solve 14 accepted steps after the 1000th, where the step limit
+        # let it run to 10000 attempts (8.7 s and about 2.5 GB)
+        assert run(["toy", "--dim", "2", "--model", "node", "--lr", "1e3",
+                    "--epochs", "1", "--out", str(tmp_path / "toy")]) == EXIT_TRAINING
+        assert capsys.readouterr().err.splitlines() == [
+            "node: training failed: step limit at epoch 0 batch 1: dopri5: "
+            "the problem turned stiff at t=4.50789e-08 (1014 steps accepted)"]
+
+
 # every int config key of every command, set to 0 and to -1; key None is the
 # command's cheap base run, which must succeed for the probes to mean anything
 INT_KEY_PROBES = [(name, None, None) for name in COMMANDS] + [

@@ -18,7 +18,8 @@ from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
                              error_norm, integrate)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
 from anodelab.train import TrainConfig, fit
-from reference import flat_dopri5_step
+from reference import (error_norm_expr, flat_dopri5_step, grad_leaf, matmul,
+                       taped)
 
 
 class Linear:
@@ -27,8 +28,9 @@ class Linear:
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
 
+    @taped
     def eval(self, h, t):
-        return tg.matmul(h, Tensor(self.A.T))
+        return matmul(h, Tensor(self.A.T))
 
 
 class Scalar:
@@ -37,6 +39,7 @@ class Scalar:
     def __init__(self, a=1.0):
         self.a = a
 
+    @taped
     def eval(self, h, t):
         return tg.lincomb((self.a,), (h,))
 
@@ -55,6 +58,7 @@ class _CountingTimes:
 class TimeOnly:
     """dh/dt = cos(t): exact solution sin(t) + C, independent of state."""
 
+    @taped
     def eval(self, h, t):
         return Tensor(np.full(h.shape, np.cos(t)))
 
@@ -65,8 +69,9 @@ class Rates:
     def __init__(self, a):
         self.a = Tensor(np.diag(np.asarray(a, dtype=float)))
 
+    @taped
     def eval(self, h, t):
-        return tg.matmul(self.a, h)
+        return matmul(self.a, h)
 
 
 class TestSolverConfig:
@@ -314,8 +319,9 @@ class TestDenseOutput:
         params.add("A", np.array([[0.05, -0.1], [0.1, 0.05]]))
 
         class P:
+            @taped
             def eval(self, h, t):
-                return tg.matmul(h, params["A"])
+                return matmul(h, params["A"])
 
         x = np.array([[1.0, -0.5], [0.2, 0.9]])
         cfg = SolverConfig(rtol=0.1, atol=0.1)
@@ -388,6 +394,49 @@ class TestDivergence:
             integrate(Scalar(), bad, 0.0, [1.0])
 
 
+class TestStiffness:
+    """Hairer's stiffness test (his DOPRI5 code's NSTIFF rule) on accepted
+    steps 1000, 2000, ... and on each step after while its count runs."""
+
+    class Decay:
+        """dh/dt = -1e4 h: stiff as soon as the transient has gone, so the
+        step size is held at dopri5's stability bound."""
+
+        def eval(self, h, t):
+            return -1e4 * h, None
+
+    def test_quotient_of_a_linear_system_is_dt_lambda(self):
+        # for f = a h, k7 - k6 = a (h_next - y6): the quotient is |dt a|
+        f = Scalar(-3.0)
+        h = Tensor([[1.0], [-2.0]])
+        _, _, stages = dopri5_step(f, h, 0.0, -0.4, tg.vjp_node(f.eval, h, 0.0))
+        assert stages.stiffness() == pytest.approx(1.2, rel=1e-12)
+
+    def test_stiff_solve_ends_after_step_1000(self):
+        cfg = SolverConfig(rtol=1e-4, atol=1e-4)
+        with pytest.raises(StepLimitError, match="the problem turned stiff at t=") as exc:
+            integrate(self.Decay(), Tensor([1.0]), 0.0, [1.0], cfg)
+        # 15 stiff steps from the test at step 1000 on, where the step limit
+        # would let it run to t = 1 (about 3000 steps)
+        accepted = int(str(exc.value).split("(")[1].split()[0])
+        assert 1015 <= accepted < 1100 and exc.value.nfe < 6 * 1100
+
+    def test_solves_below_1000_steps_are_not_tested(self):
+        # the same stiff decay over a third of the span, about 900 steps
+        cfg = SolverConfig(rtol=1e-4, atol=1e-4)
+        sol = integrate(self.Decay(), Tensor([1.0]), 0.0, [0.3], cfg)
+        assert 800 < sol.steps_accepted < 1000
+
+    def test_non_stiff_long_solve_runs_to_the_end(self):
+        # 1167 accepted steps of a rotation: h*lambda is about 0.04
+        cfg = SolverConfig(rtol=1e-10, atol=1e-10)
+        sol = integrate(Linear([[0.0, -1.0], [1.0, 0.0]]), Tensor([[1.0, 0.0]]),
+                        0.0, [50.0], cfg)
+        assert sol.steps_accepted > 1000
+        assert np.allclose(sol.states[-1].data, [[np.cos(50.0), np.sin(50.0)]],
+                           atol=1e-6)
+
+
 class TestStepController:
     @given(st.floats(1e-8, 1e4), st.floats(1e-4, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -417,6 +466,24 @@ class TestStepController:
         assert np.isclose(error_norm(err2, h2, h2, cfg), 0.5 / np.sqrt(2),
                           atol=1e-6)
 
+    @given(st.sampled_from([(), (1,), (5,), (1, 1), (3, 2), (4, 1), (2, 1, 3, 3)]),
+           st.booleans(), st.sampled_from([1e-3, 1e-7, 0.5]),
+           st.sampled_from([1e-3, 1e-9, 2.0]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_error_norm_matches_expression(self, shape, per_sample, rtol, atol,
+                                           data):
+        # bit for bit the expression it computes in one temporary, under
+        # both norms, on signed zeros, subnormals and 1e+-300
+        elements = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]))
+        err, h, h_next = (data.draw(arrays(np.float64, shape, elements=elements))
+                          for _ in range(3))
+        cfg = SolverConfig(rtol=rtol, atol=atol)
+        with np.errstate(all="ignore"):
+            got = error_norm(err, h, h_next, cfg, per_sample)
+            want = error_norm_expr(err, h, h_next, cfg, per_sample)
+        assert bits(got) == bits(want)
+
     def test_sample_norm_bounds_each_row(self):
         # one fast-growing row among 63 constant ones: the batch RMS divides
         # row 0's local error by sqrt(64), the per-sample norm does not
@@ -439,7 +506,7 @@ class TestStepController:
         # first; the last, k7 at the accepted point, is the next step's k1
         f = Scalar()
         h = Tensor([1.0])
-        k1 = f.eval(h, 0.0)
+        k1 = tg.vjp_node(f.eval, h, 0.0)
         h_next, err, stages = dopri5_step(f, h, 0.0, 0.1, k1)
         assert stages.K.shape == (8, 1)
         assert stages.K[0] == h.data and stages.K[1] == k1.data
@@ -478,7 +545,7 @@ class TestDifferentiation:
         # final = x0 * exp(a*T) so d final/d x0 = exp(a*T)
         a, T = 0.7, 1.0
         cfg = SolverConfig(method=method, fixed_step=0.05)
-        x0 = Tensor([2.0], requires_grad=True)
+        x0 = grad_leaf([2.0])
         with CompGraph() as g:
             sol = integrate(Scalar(a), x0, 0.0, [T], cfg=cfg)
             loss = tg.mse(sol.states[-1], np.zeros(1))
@@ -492,8 +559,9 @@ class TestDifferentiation:
         params.add("A", np.array([[0.3, -0.2], [0.1, 0.4]]))
 
         class P:
+            @taped
             def eval(self, h, t):
-                return tg.matmul(h, params["A"])
+                return matmul(h, params["A"])
 
         x = np.array([[1.0, -0.5], [0.2, 0.9]])
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
@@ -549,7 +617,7 @@ class TestFusedAttempt:
         odeint._STEPS["dopri5"] = step
         try:
             model = Model(spec, seed=seed)
-            x = Tensor(x0, requires_grad=True)
+            x = grad_leaf(x0)
             with CompGraph() as g:
                 sol = integrate(model.dynamics, x, t0, times, cfg,
                                 per_sample=per_sample)
@@ -638,12 +706,14 @@ class TestFusedAttempt:
         h = Tensor([[1.0], [-2.0]])
         with CompGraph() as g:
             with tg.no_grad():
-                h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
+                k1 = tg.vjp_node(f.eval, h, 0.0)
+                h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, k1)
                 stages.dense(np.full(7, 0.01))
                 stages.fsal()
-        assert len(g) == 0 and stages.sub is None
+        assert len(g) == 0 and stages.vjps is None
         with CompGraph() as g:
-            h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, f.eval(h, 0.0))
-        # the first k1's node, then the attempt's; the six evaluations are
-        # on the attempt's own graph
-        assert len(g) == 2 and h_next._id == 1 and len(stages.sub) == 12
+            k1 = tg.vjp_node(f.eval, h, 0.0)
+            h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, k1)
+        # the first k1's node, then the attempt's; the attempt keeps the
+        # six evaluations' vjps
+        assert len(g) == 2 and h_next._id == 1 and len(stages.vjps) == 6

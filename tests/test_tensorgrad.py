@@ -14,8 +14,14 @@ from anodelab.models import ConvDynamics, MlpDynamics, Model, ModelSpec
 from anodelab.train import TrainConfig, fit
 from anodelab.tensorgrad import (CompGraph, GraphError, ParamSet, ShapeError,
                                  Tensor, backward, grad_check)
-from reference import (UnfusedConvDynamics, add, concat, unfused_convnet,
-                       unfused_mlp)
+import reference
+from reference import (UnfusedConvDynamics, add, concat, grad_leaf, matmul,
+                       relu, unfused_convnet, unfused_mlp)
+
+
+def convnet_node(x, t, layers):
+    """tg.convnet on a tensor as one tape node, as the solver records it."""
+    return tg.vjp_node(tg.convnet, x, t, layers)
 
 
 def finite_arrays(shape):
@@ -36,7 +42,7 @@ class TestTensor:
 
     def test_grad_buffer_only_when_requested(self):
         assert Tensor([1.0]).grad is None
-        t = Tensor([1.0, 2.0], requires_grad=True)
+        t = grad_leaf([1.0, 2.0])
         assert t.grad is not None and t.grad.shape == (2,)
         assert np.all(t.grad == 0.0)
 
@@ -54,14 +60,14 @@ class TestForward:
     def test_matmul_value_and_shape_errors(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         v = Tensor([1.0, -1.0])
-        assert np.allclose(tg.matmul(a, Tensor([[1.0], [-1.0]])).data,
+        assert np.allclose(matmul(a, Tensor([[1.0], [-1.0]])).data,
                            [[-1.0], [-1.0]])
         with pytest.raises(ShapeError):
-            tg.matmul(a, Tensor(np.ones((3, 2))))
+            matmul(a, Tensor(np.ones((3, 2))))
         with pytest.raises(ShapeError):
-            tg.matmul(a, v)     # a 1-d operand is not a matrix
+            matmul(a, v)     # a 1-d operand is not a matrix
         with pytest.raises(ShapeError):
-            tg.matmul(v, v)
+            matmul(v, v)
 
     def test_broadcast_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -69,7 +75,7 @@ class TestForward:
 
     def test_relu(self):
         x = Tensor([-1.0, 0.0, 2.0])
-        assert np.allclose(tg.relu(x).data, [0.0, 0.0, 2.0])
+        assert np.allclose(relu(x).data, [0.0, 0.0, 2.0])
 
     def test_concat_axis(self):
         a, b = Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 3)))
@@ -106,10 +112,10 @@ class TestBackward:
     def test_simple_chain(self):
         # loss = mean((a @ b + a)^2) over n = 4 entries; with G = 2(a@b+a)/n,
         # dloss/da = G @ b.T + G and dloss/db = a.T @ G
-        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-        b = Tensor([[3.0, 0.5], [-1.0, 2.0]], requires_grad=True)
+        a = grad_leaf([[1.0, -2.0], [0.5, 3.0]])
+        b = grad_leaf([[3.0, 0.5], [-1.0, 2.0]])
         with CompGraph() as g:
-            z = add(tg.matmul(a, b), a)
+            z = add(matmul(a, b), a)
             loss = tg.mse(z, np.zeros(z.shape))
         backward(g, loss)
         G = 2 * (a.data @ b.data + a.data) / 4
@@ -117,7 +123,7 @@ class TestBackward:
         assert np.allclose(b.grad, a.data.T @ G)
 
     def test_reuse_accumulates(self):
-        a = Tensor([2.0], requires_grad=True)
+        a = grad_leaf([2.0])
         with CompGraph() as g:
             loss = tg.mse(add(a, a), np.zeros(1))  # (2a)^2 -> grad 8a
         backward(g, loss)
@@ -125,33 +131,33 @@ class TestBackward:
 
     def test_relu_grad_zero_at_kink(self):
         # mean((relu(x) + 1)^2): grad 2(relu(x) + 1) / 3 where x > 0, else 0
-        x = Tensor([-1.0, 0.0, 3.0], requires_grad=True)
+        x = grad_leaf([-1.0, 0.0, 3.0])
         with CompGraph() as g:
-            loss = tg.mse(tg.relu(x), np.full(3, -1.0))
+            loss = tg.mse(relu(x), np.full(3, -1.0))
         backward(g, loss)
         assert np.allclose(x.grad, [0.0, 0.0, 8.0 / 3.0])
 
     def test_bias_broadcast_unbroadcasts(self):
         # every output is 4 and its target -3.5, so dloss/dout = 2 * 7.5 / 15 = 1
-        w = Tensor(np.ones((4, 3)), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
+        w = grad_leaf(np.ones((4, 3)))
+        b = grad_leaf(np.zeros(3))
         x = Tensor(np.ones((5, 4)))
         with CompGraph() as g:
-            loss = tg.mse(add(tg.matmul(x, w), b), np.full((5, 3), -3.5))
+            loss = tg.mse(add(matmul(x, w), b), np.full((5, 3), -3.5))
         backward(g, loss)
         assert b.grad.shape == (3,)
         assert np.allclose(b.grad, 5.0)
         assert np.allclose(w.grad, 5.0)
 
     def test_non_scalar_loss_rejected(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
+        a = grad_leaf([1.0, 2.0])
         with CompGraph() as g:
             out = add(a, a)
         with pytest.raises(GraphError, match="scalar"):
             backward(g, out)
 
     def test_foreign_graph_rejected(self):
-        a = Tensor([1.0], requires_grad=True)
+        a = grad_leaf([1.0])
         with CompGraph() as g1:
             loss = tg.mse(a, np.zeros(1))
         with CompGraph():
@@ -162,7 +168,7 @@ class TestBackward:
 
     def test_intermediate_reused_on_second_graph(self):
         # using y on g2 must leave its place on g1's tape intact
-        a = Tensor([2.0, 3.0], requires_grad=True)
+        a = grad_leaf([2.0, 3.0])
         with CompGraph() as g1:
             y = add(a, a)
             loss = tg.mse(y, np.zeros(2))  # mean((2a)^2) -> grad 4a
@@ -172,7 +178,7 @@ class TestBackward:
         assert np.array_equal(a.grad, [8.0, 12.0])
 
     def test_loss_reused_on_second_graph(self):
-        a = Tensor([2.0, 3.0], requires_grad=True)
+        a = grad_leaf([2.0, 3.0])
         with CompGraph() as g1:
             loss = tg.mse(a, np.zeros(2))  # mean(a^2) -> grad a
         with CompGraph():
@@ -181,7 +187,7 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0, 3.0])
 
     def test_no_grad_records_nothing(self):
-        a = Tensor([1.0], requires_grad=True)
+        a = grad_leaf([1.0])
         with CompGraph() as g:
             with tg.no_grad():
                 _ = add(a, a)
@@ -193,7 +199,7 @@ class TestBackward:
     def test_backward_linearity(self, av, bv, c1, c2):
         # grad of c1*f + c2*g equals c1*grad f + c2*grad g
         def run(w1, w2):
-            a = Tensor(av, requires_grad=True)
+            a = grad_leaf(av)
             with CompGraph() as g:
                 f = tg.mse(a, np.zeros(3))
                 h = tg.mse(a, bv)
@@ -250,7 +256,7 @@ class TestMlp:
 
         def run(fn):
             params, layers = mlp_params(np.random.default_rng(11), widths)
-            x = Tensor(x0, requires_grad=True)
+            x = grad_leaf(x0)
             with CompGraph() as g:
                 h = fn(x, t, layers)
                 y = fn(h, None if t is None else t + 0.25, layers)
@@ -287,7 +293,10 @@ class TestMlp:
     ])
     def test_shape_errors(self, x_shape, t, shapes):
         layers = [(Tensor(np.ones(ws)), Tensor(np.zeros(bs))) for ws, bs in shapes]
+        # the layers are checked where they are built, the input's rank
+        # by each call
         with pytest.raises(ShapeError):
+            tg.check_mlp(layers, x_shape[-1] + (t is not None))
             tg.mlp(Tensor(np.ones(x_shape)), t, layers)
 
     def test_no_grad_eval_allocation_peak(self):
@@ -302,7 +311,7 @@ class TestMlp:
         n, d, hidden = 2000, 3, 32
         params = ParamSet()
         dyn = MlpDynamics.init(params, np.random.default_rng(0), d, hidden)
-        h = Tensor(np.random.default_rng(1).standard_normal((n, d)))
+        h = np.random.default_rng(1).standard_normal((n, d))
         with tg.no_grad():
             dyn.eval(h, 0.5)
             tracemalloc.start()
@@ -325,7 +334,7 @@ class TestMlp:
         dyn = MlpDynamics.init(params, np.random.default_rng(0), 2, 8)
         h = Tensor(np.ones((4, 2)))
         with CompGraph() as g:
-            dyn.eval(h, 0.5)
+            tg.vjp_node(dyn.eval, h, 0.5)
         assert len(g) == 1
 
 
@@ -354,7 +363,7 @@ class TestConvnet:
 
         def run(fn):
             params, layers = conv_params(np.random.default_rng(9), shape[1], filters)
-            x = Tensor(x0, requires_grad=True)
+            x = grad_leaf(x0)
             with CompGraph() as g:
                 h = fn(x, 0.37, layers)
                 y = fn(h, 0.61, layers)
@@ -362,7 +371,7 @@ class TestConvnet:
             backward(g, loss)
             return [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
 
-        got, ref = run(tg.convnet), run(unfused_convnet)
+        got, ref = run(convnet_node), run(unfused_convnet)
         assert len(got) == 9
         for a, b in zip(got, ref):
             assert np.array_equal(a, b) and a.strides == b.strides
@@ -395,7 +404,7 @@ class TestConvnet:
         x = rng.standard_normal((2, 2, 4, 4))
 
         def loss_fn():
-            out = tg.convnet(Tensor(x), 0.4, layers)
+            out = convnet_node(Tensor(x), 0.4, layers)
             return tg.mse(out, np.zeros(out.size))
 
         assert grad_check(loss_fn, params) < 1e-6
@@ -414,14 +423,16 @@ class TestConvnet:
             "no time channel", "widths disagree", "bias width", "2-d bias"])
     def test_shape_errors(self, x_shape, shapes):
         layers = [(Tensor(np.ones(ws)), Tensor(np.zeros(bs))) for ws, bs in shapes]
+        # the layers are checked where the dynamics are built, the input's
+        # rank by each evaluation
         with pytest.raises(ShapeError):
-            tg.convnet(Tensor(np.ones(x_shape)), 0.5, layers)
+            ConvDynamics(layers).eval(np.ones(x_shape), 0.5)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time(self, t):
         _, layers = conv_params(np.random.default_rng(0), 2, 3)
         with pytest.raises(ValueError, match=f"convnet: non-finite time {t}"):
-            tg.convnet(Tensor(np.ones((1, 2, 3, 3))), t, layers)
+            tg.convnet(np.ones((1, 2, 3, 3)), t, layers)
 
     def test_dynamics_eval_records_one_node(self, monkeypatch):
         # the fused node runs each convolution through the module attribute
@@ -436,7 +447,7 @@ class TestConvnet:
         monkeypatch.setattr(tg, "conv2d", counting_conv2d)
         _, layers = conv_params(np.random.default_rng(0), 2, 3)
         with CompGraph() as g:
-            ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
+            tg.vjp_node(ConvDynamics(layers).eval, Tensor(np.ones((4, 2, 3, 3))), 0.5)
         assert len(g) == 1 and len(calls) == 3
 
     def test_backward_recomputes_only_first_layer(self, monkeypatch):
@@ -452,7 +463,7 @@ class TestConvnet:
         monkeypatch.setattr(tg, "conv2d", counting_conv2d)
         _, layers = conv_params(np.random.default_rng(0), 2, 3)
         with CompGraph() as g:
-            y = ConvDynamics(layers).eval(Tensor(np.ones((4, 2, 3, 3))), 0.5)
+            y = tg.vjp_node(ConvDynamics(layers).eval, Tensor(np.ones((4, 2, 3, 3))), 0.5)
             loss = tg.mse(y, np.zeros(y.size))
         backward(g, loss)
         assert shapes == [(1, 1), (3, 3), (1, 1), (1, 1)]
@@ -469,11 +480,11 @@ class TestConvnet:
         h = Tensor(rng.standard_normal((n, c, size, size)))
         # one evaluation first fills NumPy's einsum caches for these shapes
         # (functools.lru_cache entries), whatever earlier tests left there
-        dyn.eval(h, 0.5)
+        dyn.eval(h.data, 0.5)
         tracemalloc.start()
         try:
             with CompGraph() as g:
-                out = dyn.eval(h, 0.5)
+                out = tg.vjp_node(dyn.eval, h, 0.5)
             alive = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -510,7 +521,7 @@ class TestConvnet:
 
         def run(fn):
             params, layers = make()
-            x = Tensor(x0, requires_grad=True)
+            x = grad_leaf(x0)
             with CompGraph() as g:
                 h = fn(x, t, layers)
                 y = fn(h, 0.61, layers)
@@ -518,7 +529,7 @@ class TestConvnet:
             backward(g, loss)
             return layers, [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
 
-        layers, got = run(tg.convnet)
+        layers, got = run(convnet_node)
         _, ref = run(unfused_convnet)
         (w1, b1), (w2, b2) = layers[:2]
         z = np.concatenate([x0, np.full((3, 1, 5, 5), t)], axis=1)
@@ -588,7 +599,7 @@ class TestReluRule:
         values = np.tile(SPECIALS, 5)
 
         def run(fn):
-            x = Tensor(np.ones(values.size), requires_grad=True)
+            x = grad_leaf(np.ones(values.size))
             x.data[:] = values
             with CompGraph() as g:
                 y = fn(x)
@@ -598,15 +609,15 @@ class TestReluRule:
             assert bits(x.data).tolist() == bits(values).tolist()
             return y.data, x.grad
 
-        for got, ref in zip(run(tg.relu), run(where_relu)):
+        for got, ref in zip(run(relu), run(where_relu)):
             assert np.array_equal(bits(got), bits(ref))
-        assert bits(run(tg.relu)[0][:7]).tolist() == bits([0, np.inf, 0, 0, 0, 5e-324, 0]).tolist()
+        assert bits(run(relu)[0][:7]).tolist() == bits([0, np.inf, 0, 0, 0, 5e-324, 0]).tolist()
 
     @pytest.mark.parametrize("with_inf", [False, True], ids=["finite", "inf"])
     @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no_grad"])
     @pytest.mark.parametrize("kind", ["mlp", "convnet"])
     def test_special_pre_activations(self, monkeypatch, kind, taped, with_inf):
-        monkeypatch.setattr(tg, "relu", where_relu)  # the chains' ReLU
+        monkeypatch.setattr(reference, "relu", where_relu)  # the chains' ReLU
         rng = np.random.default_rng(13)
         if kind == "mlp":
             x0 = rng.standard_normal((6, 3))
@@ -619,7 +630,7 @@ class TestReluRule:
                 return z @ w + b
         else:
             x0 = rng.standard_normal((3, 2, 4, 4))
-            fused, chain, t = tg.convnet, unfused_convnet, 0.37
+            fused, chain, t = convnet_node, unfused_convnet, 0.37
 
             def make():
                 return conv_params(np.random.default_rng(17), 2, 8)
@@ -631,7 +642,7 @@ class TestReluRule:
         def run(fn):
             params, layers = make()
             poke_first_layer(*layers[0], with_inf)
-            x = Tensor(x0, requires_grad=True)
+            x = grad_leaf(x0)
             before = [p.data.tobytes() for p in (x, *(p for _, p in params.items()))]
             with np.errstate(all="ignore"):
                 if taped:
@@ -675,12 +686,12 @@ class TestMse:
         x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
 
         def loss_fn():
-            return tg.mse(tg.matmul(Tensor(x), params["w"]), y)
+            return tg.mse(matmul(Tensor(x), params["w"]), y)
 
         assert grad_check(loss_fn, params) < 1e-6
 
     def test_one_tape_node(self):
-        out = Tensor(np.ones((4, 1)), requires_grad=True)
+        out = grad_leaf(np.ones((4, 1)))
         with CompGraph() as g:
             loss = tg.mse(add(out, out), np.zeros(4))
         assert len(g) == 2 and loss._id == 1
@@ -710,7 +721,7 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 4, size=6)
 
         def loss_fn():
-            return tg.softmax_cross_entropy(tg.matmul(Tensor(x), params["w"]),
+            return tg.softmax_cross_entropy(matmul(Tensor(x), params["w"]),
                                             labels)
 
         assert grad_check(loss_fn, params) < 1e-6
@@ -771,8 +782,8 @@ class TestGradCheck:
         x = rng.standard_normal((8, 3))
 
         def loss_fn():
-            h = tg.relu(add(tg.matmul(Tensor(x), params["w1"]), params["b1"]))
-            out = tg.matmul(h, params["w2"])
+            h = relu(add(matmul(Tensor(x), params["w1"]), params["b1"]))
+            out = matmul(h, params["w2"])
             return tg.mse(out, np.zeros(out.shape))
 
         assert grad_check(loss_fn, params) < 1e-6
@@ -787,7 +798,7 @@ class TestGradCheck:
 
         def loss_fn():
             seen.append(params.data.copy())
-            return tg.mse(add(tg.matmul(Tensor([[1.0], [2.0]]), w), b), np.zeros(4))
+            return tg.mse(add(matmul(Tensor([[1.0], [2.0]]), w), b), np.zeros(4))
 
         assert grad_check(loss_fn, params) < 1e-6
         assert all(x is y for x, y in zip((w.data, w.grad, b.data, b.grad), views))

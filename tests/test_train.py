@@ -235,6 +235,23 @@ class TestFit:
         assert [e.epoch for e in rec.epochs] == [0, 1, 2]
         assert rec.error is None
 
+    @pytest.mark.parametrize("kind,p", [("node", 0), ("anode", 2)])
+    def test_taped_batch_creates_one_graph(self, monkeypatch, kind, p):
+        # one dopri5 batch is one tape: every attempt is a node of the
+        # batch's graph, none builds a graph of its own
+        graphs = []
+        real_init = tg.CompGraph.__init__
+
+        def counting_init(self):
+            graphs.append(self)
+            real_init(self)
+
+        monkeypatch.setattr(tg.CompGraph, "__init__", counting_init)
+        rec = fit(tiny_model(kind=kind, p=p), tiny_dataset(16), None,
+                  TrainConfig(epochs=1, batch_size=16))
+        assert rec.error is None and rec.epochs[0].nfe_forward_mean > 7
+        assert len(graphs) == 1
+
     def test_loss_decreases(self):
         rec = fit(tiny_model(kind="anode", p=2), tiny_dataset(64),
                   None, fast_cfg(epochs=15, lr=1e-2))
