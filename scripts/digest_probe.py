@@ -4,8 +4,10 @@ checkouts can be compared byte for byte by diffing this script's output.
 
 It runs CLI commands (toy, generalization, nfe, sweep, mnist-mini on
 synthetic IDX files, export-flows) in a temporary directory and hashes every
-file they write, their exit codes and their stdout, with the wall-clock
-column ``wall_ms`` left out of each ``*_train.csv``.  Then it runs taped
+file they write, their exit codes, stdout and stderr, with the wall-clock
+column ``wall_ms`` left out of each ``*_train.csv``.  Three of the runs
+fail in training (exit 3), so the artifacts a failure leaves are hashed
+too.  Then it runs taped
 in-process solves (dopri5, Euler and RK4) and hashes their states,
 evaluation and step counts, and the gradients of a loss with respect to the
 input and every parameter, and hashes one vector field.
@@ -55,6 +57,12 @@ COMMANDS = [
                          "--n-points", "40", "--n-times", "9", "--svg"]),
     ("export-flows-resnet", ["export-flows", "--checkpoint",
                              "toy-1d-resnet/resnet.ckpt", "--n-points", "20"]),
+    # failing runs: a stiff solve, a stiff solve after the epoch-0 features
+    # snapshot, and both generalization fits diverging
+    ("toy-2d-node-stiff", ["toy", "--dim", "2", "--model", "node", "--lr", "1e3",
+                           "--epochs", "1"]),
+    ("nfe-stiff", ["nfe", "--lr", "1e3", "--epochs", "2", "--snapshot-every", "1"]),
+    ("generalization-diverging", ["generalization", "--lr", "1e3", "--epochs", "1"]),
 ]
 
 
@@ -95,10 +103,11 @@ def write_synthetic_idx(root: Path) -> None:
 def run_commands(work: Path) -> None:
     write_synthetic_idx(work / "idx")
     for name, argv in COMMANDS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = expcli.main(argv + ["--out", name])
         print(f"{sha(out.getvalue().encode(), str(code).encode())}  {name}/<exit, stdout>")
+        print(f"{sha(err.getvalue().encode())}  {name}/<stderr>")
         for path in sorted(p for p in (work / name).rglob("*") if p.is_file()):
             print(f"{sha(file_bytes(path))}  {path.relative_to(work).as_posix()}")
 

@@ -3,10 +3,11 @@
 Subcommands: toy, nfe, generalization, mnist-mini, sweep, export-flows, one
 entry each in COMMANDS, whose flags are generated from the entry's defaults.
 Each command's plan checks its config, loads its input files and builds
-every object the run uses; only then is the experiment manifest written, and
-the planned step trains and writes CSV artifacts (always) and SVG plots (with
---svg).  Exit codes: 0 success, 2 config error, 3 training or
-solver failure, 4 I/O error or malformed input file.
+every object the run uses, its fit jobs included; only then is the
+experiment manifest written, the jobs are run, and the fits and the plan's
+writer write CSV artifacts (always) and SVG plots (with --svg).  Exit codes:
+0 success, 2 config error, 3 training or solver failure, 4 I/O error or
+malformed input file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -116,9 +117,7 @@ def load_checkpoint(path) -> mdl.Model:
             raise OSError(f"{path}: truncated parameter data at {name!r}")
     if len(raw) != end:
         raise OSError(f"{path}: {len(raw) - end} bytes after the parameters")
-    model = mdl.Model(spec, seed=0)
-    model.params.data[...] = np.frombuffer(raw, dtype="<f8", offset=off)
-    return model
+    return mdl.Model(spec, data=np.frombuffer(raw, dtype="<f8", offset=off))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -205,149 +204,125 @@ def write_flow_csv(path, snap: mdl.FlowSnapshot) -> None:
     write_blocks(path, header, blocks())
 
 
-@dataclass
-class Run:
-    """Where and how a planned step writes: the output directory, --svg,
-    the training config (with its solver config), and the training failures
-    so far."""
-
-    out: Path
-    svg: bool
-    train: trn.TrainConfig
-    failures: list[str] = field(default_factory=list)
-
-    def fit(self, stem: str, model: mdl.Model, train_set, val_set=None,
-            epoch_callback=None) -> trn.TrainRecord:
-        """Train one model, write its CSVs and checkpoint, note a failure."""
-        record = trn.fit(model, train_set, val_set, self.train, epoch_callback)
-        write_record_csvs(self.out, stem, record, self.svg)
-        save_checkpoint(self.out / f"{stem}.ckpt", model)
-        if record.error is not None:
-            self.failures.append(f"{stem}: training failed: {record.error}")
-        return record
-
-
-Step = Callable[[Run], None]
-
-
 # ModelSpec field -> the flag of the toy, nfe and generalization commands
 SPEC_FLAGS = {"hidden_dim": "--hidden", "p": "--aug", "resnet_layers": "--layers"}
 
 
-def _toy_model(cfg: dict, kind: str, dim: int) -> mdl.Model:
-    # 1-d node/resnet train the bare flow (the crossing obstruction is the
-    # point of the task); everything else uses the affine head
-    head = "identity" if dim == 1 and kind != "anode" else "affine"
+def _job(cfg: dict, train: trn.TrainConfig, sets, every=0, **fields) -> trn.FitJob:
     try:
-        spec = mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=cfg["hidden"],
-                             p=cfg["aug"] if kind == "anode" else 0,
-                             output_dim=1, head=head,
-                             resnet_layers=cfg["layers"] if kind == "resnet" else 0)
+        spec = mdl.ModelSpec(**fields)
     except ValueError as exc:  # the spec's range errors start with the field
         name, _, rest = str(exc).partition(" ")
         raise ConfigError(f"{SPEC_FLAGS.get(name, name)} {rest}") from None
-    return mdl.Model(spec, seed=cfg["seed"])
+    # the initial parameters are drawn here, so a model too large fails the plan
+    init = mdl.Model(spec, seed=cfg["seed"]).params.data
+    return trn.FitJob(spec, init, train, *sets, snapshot_every=every)
+
+
+def _toy_job(cfg: dict, train: trn.TrainConfig, kind: str, dim: int,
+             *sets: dat.LabeledSet, every: int = 0) -> trn.FitJob:
+    # 1-d node/resnet train the bare flow (the crossing obstruction is the
+    # point of the task); everything else uses the affine head
+    return _job(cfg, train, sets, every, kind=kind, input_dim=dim, output_dim=1,
+                hidden_dim=cfg["hidden"], p=cfg["aug"] if kind == "anode" else 0,
+                head="identity" if dim == 1 and kind != "anode" else "affine",
+                resnet_layers=cfg["layers"] if kind == "resnet" else 0)
 
 
 def _toy_dataset(dim: int, seed: int) -> dat.LabeledSet:
-    if dim == 1:
-        return dat.gen_g1d(64, seed=seed)
-    return dat.gen_concentric(dat.SphereAnnulusConfig(d=2, seed=seed))
+    return (dat.gen_g1d(64, seed=seed) if dim == 1 else
+            dat.gen_concentric(dat.SphereAnnulusConfig(d=2, seed=seed)))
 
 
-def plan_toy(cfg: dict) -> Step:
+def plan_toy(cfg: dict, train: trn.TrainConfig):
     kind, dim = cfg["model"], cfg["dim"]
     if dim not in (1, 2):
         raise ConfigError("--dim must be one of (1, 2)")
     dataset = _toy_dataset(dim, cfg["seed"])
-    model = _toy_model(cfg, kind, dim)
 
-    def step(run: Run) -> None:
-        record = run.fit(kind, model, dataset)
+    def write(out: Path, want_svg: bool, fits: dict) -> str | None:
+        record, model = fits[kind]
         if record.error is not None:  # no solve with a blown-up model
-            return
+            return None
         snap = mdl.flow_trajectory(model, dataset.inputs[:20], 25,
-                                   run.train.solver, dataset.targets[:20])
-        write_flow_csv(run.out / f"{kind}_flow.csv", snap)
-        if run.svg:
-            svg.trajectory_plot(run.out / f"{kind}_flow.svg", snap.states,
+                                   train.solver, dataset.targets[:20])
+        write_flow_csv(out / f"{kind}_flow.csv", snap)
+        if want_svg:
+            svg.trajectory_plot(out / f"{kind}_flow.svg", snap.states,
                                 snap.labels, title="flow trajectories")
-        print(f"final train loss {record.epochs[-1].train_loss:.6g} "
-              f"(artifacts in {run.out})")
-    return step
+        return (f"final train loss {record.epochs[-1].train_loss:.6g} "
+                f"(artifacts in {out})")
+    return {kind: _toy_job(cfg, train, kind, dim, dataset)}, write
 
 
-def plan_nfe(cfg: dict) -> Step:
+def plan_nfe(cfg: dict, train: trn.TrainConfig):
     kind, every = cfg["model"], cfg["snapshot_every"]
     if kind not in ("node", "anode"):
         raise ConfigError("--model must be one of ('node', 'anode')")
     if every < 1:
         raise ConfigError("--snapshot-every must be >= 1")
     dataset = _toy_dataset(2, cfg["seed"])
-    model = _toy_model(cfg, kind, 2)
     probe = dataset.inputs[:: max(1, len(dataset) // 200)]
 
-    def step(run: Run) -> None:
-        def snapshot(epoch, m):
-            if epoch % every == 0:
-                with no_grad():
-                    feats = mdl.features(m, Tensor(probe), run.train.solver).data
-                header = ",".join(f"s{i}" for i in range(feats.shape[1]))
-                write_csv(run.out / f"features_epoch{epoch:03d}.csv", header,
-                          feats.tolist())
-
-        record = run.fit(kind, model, dataset, epoch_callback=snapshot)
-        write_csv(run.out / "nfe_vs_epoch.csv", "epoch,nfe_forward_mean",
+    def write(out: Path, want_svg: bool, fits: dict) -> str | None:
+        record, model = fits[kind]
+        for epoch, params in record.snapshots.items():
+            with no_grad():
+                feats = mdl.features(mdl.Model(model.spec, data=params),
+                                     Tensor(probe), train.solver).data
+            header = ",".join(f"s{i}" for i in range(feats.shape[1]))
+            write_csv(out / f"features_epoch{epoch:03d}.csv", header, feats.tolist())
+        write_csv(out / "nfe_vs_epoch.csv", "epoch,nfe_forward_mean",
                   ((e.epoch, e.nfe_forward_mean) for e in record.epochs))
-        write_csv(run.out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
+        write_csv(out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
                   ((e.nfe_forward_mean, e.train_loss) for e in record.epochs))
-        if run.svg:
-            svg.line_plot(run.out / "nfe.svg",
+        if want_svg:
+            svg.line_plot(out / "nfe.svg",
                           {"nfe": (record.metric("epoch"),
                                    record.metric("nfe_forward_mean"))},
                           title="NFE per epoch")
-        if record.error is None:
-            nfes = record.metric("nfe_forward_mean")
-            print(f"NFE epoch0 {nfes[0]:.1f} -> final {nfes[-1]:.1f} "
-                  f"(ratio {nfes[-1] / nfes[0]:.2f}); artifacts in {run.out}")
-    return step
+        if record.error is not None:
+            return None
+        nfes = record.metric("nfe_forward_mean")
+        return (f"NFE epoch0 {nfes[0]:.1f} -> final {nfes[-1]:.1f} "
+                f"(ratio {nfes[-1] / nfes[0]:.2f}); artifacts in {out}")
+    return {kind: _toy_job(cfg, train, kind, 2, dataset, every=every)}, write
 
 
-def plan_generalization(cfg: dict) -> Step:
+def plan_generalization(cfg: dict, train: trn.TrainConfig):
     train_set, val_set = dat.angular_split(_toy_dataset(2, cfg["seed"]),
                                            0.0, np.pi / 5)
     grid = np.stack(np.meshgrid(np.linspace(-2, 2, 100),
                                 np.linspace(-2, 2, 100),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
-    models = {kind: _toy_model(cfg, kind, 2) for kind in ("node", "anode")}
+    jobs = {kind: _toy_job(cfg, train, kind, 2, train_set, val_set)
+            for kind in ("node", "anode")}
     # both models predict the same grid: its x0,x1 cells are formatted once,
     # into one template per 500-point chunk whose predictions stay placeholders
     real = cell_format(float)
     cells = [f"{real % x0},{real % x1},{real}\n" for x0, x1 in grid.tolist()]
     chunks = {i: "".join(cells[i:i + 500]) for i in range(0, len(grid), 500)}
 
-    def step(run: Run) -> None:
-        for kind, model in models.items():
-            record = run.fit(kind, model, train_set, val_set)
+    def write(out: Path, want_svg: bool, fits: dict) -> str:
+        for kind, (record, model) in fits.items():
             if record.error is not None:  # no solve with a blown-up model
                 continue
             with no_grad():  # each chunk is written as soon as it is predicted
-                write_blocks(run.out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
+                write_blocks(out / f"{kind}_heatgrid.csv", "x0,x1,prediction",
                              (chunk % tuple(mdl.node_forward(
-                                 model, Tensor(grid[i:i + 500]), run.train.solver
+                                 model, Tensor(grid[i:i + 500]), train.solver
                              )[0].data.reshape(-1).tolist())
                               for i, chunk in chunks.items()))
             print(f"{kind}: final val loss {record.epochs[-1].val_loss:.6g}")
-        if not run.failures:
-            print(f"artifacts in {run.out}")
-    return step
+        return f"artifacts in {out}"
+    return jobs, write
 
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
-def plan_mnist_mini(cfg: dict) -> Step:
+def plan_mnist_mini(cfg: dict, train: trn.TrainConfig):
     if cfg["aug"] < 0 or cfg["filters"] < 1:
         raise ConfigError("--aug must be >= 0 and --filters >= 1")
     data_dir = Path(cfg["data_dir"])
@@ -368,34 +343,23 @@ def plan_mnist_mini(cfg: dict) -> Step:
     k_anode, k_node = mdl.match_conv_filters(
         channels_a=1 + cfg["aug"], channels_b=1, base_filters=cfg["filters"],
         output_dim=2)
-    models = {kind: mdl.Model(mdl.ModelSpec(kind=kind, input_dim=1, hidden_dim=k, p=p,
-                                            output_dim=2, conv=True), seed=cfg["seed"])
-              for kind, k, p in (("anode", k_anode, cfg["aug"]), ("node", k_node, 0))}
+    jobs = {kind: _job(cfg, train, (train_set, test_set), kind=kind, input_dim=1,
+                       hidden_dim=k, p=p, output_dim=2, conv=True)
+            for kind, k, p in (("anode", k_anode, cfg["aug"]), ("node", k_node, 0))}
 
-    def step(run: Run) -> None:
-        counts = {k: m.param_count() for k, m in models.items()}
+    def write(out: Path, want_svg: bool, fits: dict) -> str:
+        counts = {k: m.param_count() for k, (_, m) in fits.items()}
         print(f"parameter counts: {counts} (mismatch "
               f"{abs(counts['node'] - counts['anode']) / counts['node']:.2%})")
-        for kind, model in models.items():
-            record = run.fit(kind, model, train_set, test_set)
+        for kind, (record, _) in fits.items():
             if record.error is None:
                 print(f"{kind}: test acc {record.epochs[-1].val_acc:.4f}, "
                       f"mean NFE {record.epochs[-1].nfe_forward_mean:.1f}")
-        if not run.failures:
-            print(f"artifacts in {run.out}")
-    return step
+        return f"artifacts in {out}"
+    return jobs, write
 
 
-def sweep_grid(model_kind: str) -> dict:
-    grid = {"batch_size": [64, 128], "lr": [1e-3, 5e-4, 1e-4], "hidden": [16, 32]}
-    if model_kind == "anode":
-        grid["aug"] = [1, 2, 5]
-    elif model_kind == "resnet":
-        grid["layers"] = [2, 5, 10]
-    return grid
-
-
-def plan_sweep(cfg: dict) -> Step:
+def plan_sweep(cfg: dict, train: trn.TrainConfig):
     kind, dim, folds = cfg["model"], cfg["dim"], cfg["cv_folds"]
     dataset = dat.gen_concentric(dat.SphereAnnulusConfig(
         d=dim, n_inner=cfg["n_inner"], n_outer=cfg["n_outer"],
@@ -403,35 +367,33 @@ def plan_sweep(cfg: dict) -> Step:
     if not 2 <= folds <= len(dataset):
         raise ConfigError(f"--cv-folds must lie in [2, {len(dataset)}] "
                           "(n-inner + n-outer)")
-    grid = sweep_grid(kind)
+    grid = {"batch_size": [64, 128], "lr": [1e-3, 5e-4, 1e-4], "hidden": [16, 32],
+            **{"anode": {"aug": [1, 2, 5]},
+               "resnet": {"layers": [2, 5, 10]}}.get(kind, {})}
+    specs = {str(c): mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=c["hidden"],
+                                   p=c.get("aug", 0), output_dim=1,
+                                   resnet_layers=c.get("layers", 0))
+             for c in trn.grid_cells(grid)}
 
-    def spec(cell: dict) -> mdl.ModelSpec:
-        return mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=cell["hidden"],
-                             p=cell.get("aug", 0), output_dim=1,
-                             resnet_layers=cell.get("layers", 0))
-
-    spec({k: v[0] for k, v in grid.items()})  # checks the kind; grid values are valid
-
-    def step(run: Run) -> None:
-        results = trn.grid_search(
-            grid, lambda cell, seed: mdl.Model(spec(cell), seed=seed), dataset,
-            folds, run.train)
+    def write(out: Path, want_svg: bool, fits: dict) -> str:
+        results = trn.grid_search(grid, lambda cell: specs[str(cell)], dataset,
+                                  folds, train)
         keys = sorted({k for r in results for k in r.cell})
-        write_csv(run.out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
+        write_csv(out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
                   ((*(r.cell.get(k, "") for k in keys), fold, loss)
                    for r in results for fold, loss in enumerate(r.fold_losses)))
-        write_csv(run.out / "sweep_summary.csv",
+        write_csv(out / "sweep_summary.csv",
                   ",".join(keys) + ",mean_val_loss,error",
                   ((*(r.cell.get(k, "") for k in keys),
                     r.mean_val_loss if r.fold_losses else None, r.error)
                    for r in results))
         best = results[0]
-        print(f"{len(results)} cells; best {best.cell} "
-              f"mean val loss {best.mean_val_loss:.6g}; artifacts in {run.out}")
-    return step
+        return (f"{len(results)} cells; best {best.cell} "
+                f"mean val loss {best.mean_val_loss:.6g}; artifacts in {out}")
+    return {}, write
 
 
-def plan_export_flows(cfg: dict) -> Step:
+def plan_export_flows(cfg: dict, train: trn.TrainConfig):
     n_points, n_times = cfg["n_points"], cfg["n_times"]
     if not cfg["checkpoint"]:
         raise ConfigError("--checkpoint is required")
@@ -448,9 +410,9 @@ def plan_export_flows(cfg: dict) -> Step:
         points = np.random.default_rng(cfg["seed"]).uniform(
             -1.5, 1.5, size=(n_points, d))
 
-    def step(run: Run) -> None:
-        snap = mdl.flow_trajectory(model, points, n_times, run.train.solver)
-        write_flow_csv(run.out / "flow.csv", snap)
+    def write(out: Path, want_svg: bool, fits: dict) -> str:
+        snap = mdl.flow_trajectory(model, points, n_times, train.solver)
+        write_flow_csv(out / "flow.csv", snap)
         if model.spec.kind != "resnet":
             sd = model.spec.state_dim
             axis = np.linspace(-2.0, 2.0, 10)
@@ -461,29 +423,31 @@ def plan_export_flows(cfg: dict) -> Step:
             vecs = mdl.vector_field(model, mesh, times)
             header = ("t," + ",".join(f"x{i}" for i in range(sd)) + "," +
                       ",".join(f"f{i}" for i in range(sd)))
-            write_csv(run.out / "field.csv", header,
+            write_csv(out / "field.csv", header,
                       ((t, *pt, *vec) for t, at_t in zip(times, vecs.tolist())
                        for pt, vec in zip(mesh.tolist(), at_t)))
-            if run.svg and sd == 2:
-                svg.field_plot(run.out / "field.svg", mesh, vecs[0],
+            if want_svg and sd == 2:
+                svg.field_plot(out / "field.svg", mesh, vecs[0],
                                title="vector field at t=0")
-        if run.svg:
-            svg.trajectory_plot(run.out / "flow.svg", snap.states, snap.labels,
+        if want_svg:
+            svg.trajectory_plot(out / "flow.svg", snap.states, snap.labels,
                                 title="flow trajectories")
-        print(f"artifacts in {run.out}")
-    return step
+        return f"artifacts in {out}"
+    return {}, write
 
 
 @dataclass(frozen=True)
 class Command:
     """One subcommand.  Its flags are the dash-cased keys of ``defaults``,
-    typed like their default values.  ``plan`` checks the resolved config,
-    loads the input files and builds every object the run uses, before the
-    manifest is written; the step it returns trains and writes the rest."""
+    typed like their default values.  ``plan(config, train config)`` checks
+    them, loads the input files and builds every object the run uses, before
+    the manifest is written.  It returns the fit jobs by artifact stem and a
+    writer: write(out dir, --svg, stem -> (record, trained model)) writes the
+    rest and returns the line printed last if every fit trained."""
 
     help: str
     defaults: dict
-    plan: Callable[[dict], Step]
+    plan: Callable[[dict, trn.TrainConfig], tuple[dict[str, trn.FitJob], Callable]]
 
 
 COMMANDS = {
@@ -547,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(name: str, args: argparse.Namespace) -> int:
     """Resolve the config, build the solver and training configs, plan the
-    run, write the manifest, run the planned step, and return the exit code;
+    run, write the manifest, run the fit jobs, write each fit's record CSVs
+    and checkpoint, then the writer's artifacts, and return the exit code;
     every check is done before the manifest is written."""
     cmd = COMMANDS[name]
     file_cfg = parse_config_file(args.config) if args.config else {}
@@ -556,17 +521,26 @@ def run_command(name: str, args: argparse.Namespace) -> int:
     train = trn.TrainConfig(solver=solver, **{
         f: cfg[k] for k, f in TRAIN_FIELDS.items() if k in cfg})
     try:
-        step = cmd.plan(cfg)
+        jobs, write = cmd.plan(cfg, train)
     except MemoryError as exc:
         raise ConfigError(f"the planned run does not fit in memory ({exc})") from exc
-    run = Run(Path(cfg["out"]), args.svg, train)
-    write_manifest(run.out, name, cfg, [cfg["seed"]])
+    out = Path(cfg["out"])
+    write_manifest(out, name, cfg, [cfg["seed"]])
+    fits = {stem: (record, mdl.Model(jobs[stem].spec, data=params))
+            for stem, (record, params) in zip(jobs, trn.run_fits(list(jobs.values())))}
+    failures = [f"{stem}: training failed: {record.error}"
+                for stem, (record, _) in fits.items() if record.error is not None]
     try:  # a training failure is reported even if a later solve raises
-        step(run)
+        for stem, (record, model) in fits.items():
+            write_record_csvs(out, stem, record, args.svg)
+            save_checkpoint(out / f"{stem}.ckpt", model)
+        closing = write(out, args.svg, fits)
+        if not failures:
+            print(closing)
     finally:
-        for msg in run.failures:
+        for msg in failures:
             print(msg, file=sys.stderr)
-    return EXIT_TRAINING if run.failures else EXIT_OK
+    return EXIT_TRAINING if failures else EXIT_OK
 
 
 # exception -> (exit code, label); the first matching row wins, so

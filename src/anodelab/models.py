@@ -168,9 +168,10 @@ class Model:
     """A built model: parameters plus the forward machinery for its spec.
 
     For the resnet baseline, ``layers`` holds each residual update's MLP
-    d -> hidden -> hidden -> d (no time input) as tg.mlp layers."""
+    d -> hidden -> hidden -> d (no time input) as tg.mlp layers.  Given
+    data, the parameters are a copy of that buffer, not the seed's draws."""
 
-    def __init__(self, spec: ModelSpec, seed: int = 0):
+    def __init__(self, spec: ModelSpec, seed: int = 0, data: np.ndarray | None = None):
         self.spec = spec
         self.params = ParamSet()
         layers = _add_params(self.params, np.random.default_rng(seed),
@@ -184,6 +185,8 @@ class Model:
             self.dynamics = MlpDynamics(layers[:3])
         if spec.head == "affine":
             self._head = layers[-1:]
+        if data is not None:
+            self.params.data[...] = data
 
     def param_count(self) -> int:
         return param_count(self.spec)

@@ -43,10 +43,10 @@ class Dynamics(Protocol):
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-# and of Hairer's stiffness test on accepted dopri5 steps (integrate): on
-# every STIFF_EVERY-th and on each while the count of steps with h*lambda
-# above STIFF_BOUND runs; STIFF_STEPS of them end the solve, NONSTIFF_STEPS
-# in a row at or below it reset the count
+# and of Hairer's stiffness test on every accepted dopri5 step from the
+# STIFF_EVERY-th on (integrate): STIFF_STEPS steps with h*lambda above
+# STIFF_BOUND end the solve, NONSTIFF_STEPS in a row at or below it reset
+# the count
 STIFF_EVERY = 1000
 STIFF_BOUND = 3.25
 STIFF_STEPS = 15
@@ -439,7 +439,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                         record(t + dt_try, h_next, stages)
                     t, h, k1 = t + dt_try, h_next, stages and stages.fsal()
                     accepted += 1
-                    if stages and (accepted % STIFF_EVERY == 0 or stiff):
+                    if stages and accepted >= STIFF_EVERY:
                         if stages.stiffness() > STIFF_BOUND:
                             stiff, nonstiff = stiff + 1, 0
                         else:

@@ -11,10 +11,9 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 class _Canvas:
-    def __init__(self, width=640, height=480, margin=50):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    width, height, margin = 640, 480, 50
+
+    def __init__(self):
         self.parts = []
 
     def set_limits(self, xlim, ylim):
@@ -66,7 +65,9 @@ class _Canvas:
         self.parts.append(f'<text x="{x}" y="{y}" font-size="13" '
                           f'font-family="sans-serif">{s}</text>')
 
-    def write(self, path):
+    def write(self, path, title=""):
+        if title:
+            self.text(title, self.margin, 20)
         body = "\n".join(self.parts)
         with open(path, "w") as fh:
             fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -95,9 +96,7 @@ def line_plot(path, series: dict[str, tuple[np.ndarray, np.ndarray]],
         color = _COLORS[i % len(_COLORS)]
         c.polyline(*c.to_px(np.asarray(x, float), np.asarray(y, float)), color)
         c.text(name, c.width - c.margin - 120, c.margin + 16 * i)
-    if title:
-        c.text(title, c.margin, 20)
-    c.write(path)
+    c.write(path, title)
 
 
 def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
@@ -130,9 +129,7 @@ def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
     # free the pixel arrays before write() joins the document: held, they
     # raise the export's peak RSS by more than their size
     del px, py, pixels
-    if title:
-        c.text(title, c.margin, 20)
-    c.write(path)
+    c.write(path, title)
 
 
 def field_plot(path, points: np.ndarray, vectors: np.ndarray,
@@ -143,6 +140,4 @@ def field_plot(path, points: np.ndarray, vectors: np.ndarray,
     norm = np.max(np.linalg.norm(vectors, axis=1)) or 1.0
     for (x, y), (u, v) in zip(points, vectors):
         c.segment(x, y, x + scale * u / norm, y + scale * v / norm, _COLORS[0])
-    if title:
-        c.text(title, c.margin, 20)
-    c.write(path)
+    c.write(path, title)

@@ -1,12 +1,12 @@
 """Optimization loop (Adam with decoupled weight decay), per-epoch metrics,
-and grid search with k-fold cross validation.
+fit jobs and their runner, and grid search with k-fold cross validation.
 
 Each record row is one training epoch (numbered from 0); train-side metrics
 are running means over that epoch's minibatches, so row 0 already reflects
 the nearly-untrained model and NFE growth can be read directly off the log.
 Training has one failure protocol: the first solver step limit, divergence,
 non-finite gradient or failed allocation ends the fit, and the partial
-record names where it happened.
+record names where it happened.  Every fit is a FitJob, run by run_fits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import tensorgrad as tg
 from .tensorgrad import CompGraph, ParamSet, Tensor, backward
 from .odeint import DivergenceError, SolverConfig, StepLimitError
 from .data import LabeledSet, batches
-from .models import Model, node_forward
+from .models import Model, ModelSpec, node_forward
 
 
 @dataclass
@@ -62,6 +62,7 @@ class EpochStats:
 class TrainRecord:
     epochs: list[EpochStats] = field(default_factory=list)
     error: str | None = None
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # epoch -> params
     metadata: dict = field(default_factory=dict)  # empty; bench/tracer.py reads it
 
     CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,nfe_forward_mean,wall_ms"
@@ -160,25 +161,24 @@ FAILURES = {StepLimitError: "step limit", DivergenceError: "divergence",
 
 
 def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
-        cfg: TrainConfig,
-        epoch_callback: Callable[[int, Model], None] | None = None) -> TrainRecord:
+        cfg: TrainConfig, snapshot_every: int = 0) -> TrainRecord:
     """Minibatch training with one metrics row per training epoch (0-based).
 
     Train loss/accuracy/NFE are running means over that epoch's batches, so
-    row 0 reflects the nearly-untrained model.  The optional callback fires
-    once before training (index 0) and after each epoch (1..epochs), for
-    feature-snapshot exports.  The first step limit, divergence, non-finite
-    gradient or MemoryError, in a training batch or in the validation pass,
-    ends training: the partial record is returned with the error field
-    set."""
+    row 0 reflects the nearly-untrained model.  With snapshot_every k > 0
+    the record keeps a copy of the parameters after 0, k, 2k, ... epochs,
+    for feature-snapshot exports.  The first step limit, divergence,
+    non-finite gradient or MemoryError, in a training batch or in the
+    validation pass, ends training: the partial record, with its snapshots,
+    is returned with the error field set."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     record = TrainRecord()
     state = AdamState()
     t_start = time.perf_counter()
 
-    if epoch_callback is not None:
-        epoch_callback(0, model)
+    if snapshot_every:
+        record.snapshots[0] = model.params.data.copy()
     for epoch in range(cfg.epochs):
         tot_loss = tot_acc = tot_nfe = 0.0
         n = 0
@@ -211,9 +211,32 @@ def fit(model: Model, train_set: LabeledSet, val_set: LabeledSet | None,
         wall = (time.perf_counter() - t_start) * 1000.0
         record.epochs.append(EpochStats(epoch, tot_loss / n, tot_acc / n, vl, va,
                                         tot_nfe / n_batches, wall))
-        if epoch_callback is not None:
-            epoch_callback(epoch + 1, model)
+        if snapshot_every and (epoch + 1) % snapshot_every == 0:
+            record.snapshots[epoch + 1] = model.params.data.copy()
     return record
+
+
+@dataclass
+class FitJob:
+    """One fit as picklable data: the model's spec and initial parameter
+    buffer (what a checkpoint holds) and the rest of fit's arguments."""
+    spec: ModelSpec
+    init: np.ndarray
+    cfg: TrainConfig
+    train_set: LabeledSet
+    val_set: LabeledSet | None = None
+    snapshot_every: int = 0
+
+
+def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
+    """Each job's record and trained parameter buffer, in job order.  A fit
+    reads nothing but its job, so no result depends on another job."""
+    results = []
+    for job in jobs:
+        model = Model(job.spec, data=job.init)
+        record = fit(model, job.train_set, job.val_set, job.cfg, job.snapshot_every)
+        results.append((record, model.params.data))
+    return results
 
 
 @dataclass
@@ -227,37 +250,42 @@ class GridCellResult:
         return float(np.mean(self.fold_losses)) if self.fold_losses else float("inf")
 
 
-def _kfold(n: int, folds: int, seed: int):
-    order = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(order, folds)
-    for i in range(folds):
-        val = parts[i]
-        train = np.concatenate([parts[j] for j in range(folds) if j != i])
-        yield train, val
+def grid_cells(grid: dict[str, Sequence]) -> list[dict]:
+    """The Cartesian product of the grid, one dict per cell."""
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
 
 
-def grid_search(grid: dict[str, Sequence], build_model: Callable[[dict, int], Model],
+def grid_search(grid: dict[str, Sequence], spec: Callable[[dict], ModelSpec],
                 dataset: LabeledSet, cv_folds: int,
                 base_cfg: TrainConfig) -> list[GridCellResult]:
     """Evaluate the Cartesian product of the grid with k-fold cross
     validation; returns results sorted by mean validation loss.
 
     Cell keys 'lr' and 'batch_size' override base_cfg, which sets everything
-    else (epochs included); all keys are passed to build_model."""
+    else (epochs included); spec maps a cell to its model.  Each cell x fold
+    is one job of run_fits: the model that seed base_cfg.seed + fold draws,
+    trained with that seed on the other folds.  A cell's result ends at its
+    first failed fold."""
     if not grid:
         raise ValueError("empty grid")
-    keys = list(grid)
+    folds = np.array_split(np.random.default_rng(base_cfg.seed).permutation(
+        len(dataset)), cv_folds)
+    cells = grid_cells(grid)
+    jobs = []
+    for cell in cells:
+        cell_spec = spec(cell)
+        for fold, val in enumerate(folds):
+            seed = base_cfg.seed + fold
+            cfg = replace(base_cfg, lr=cell.get("lr", base_cfg.lr), seed=seed,
+                          batch_size=cell.get("batch_size", base_cfg.batch_size))
+            rest = np.concatenate(folds[:fold] + folds[fold + 1:])
+            jobs.append(FitJob(cell_spec, Model(cell_spec, seed=seed).params.data, cfg,
+                               dataset.subset(rest), dataset.subset(val)))
+    records = [rec for rec, _ in run_fits(jobs)]
     results: list[GridCellResult] = []
-    for values in itertools.product(*(grid[k] for k in keys)):
-        cell = dict(zip(keys, values))
-        cfg = replace(base_cfg, lr=cell.get("lr", base_cfg.lr),
-                      batch_size=cell.get("batch_size", base_cfg.batch_size))
+    for i, cell in enumerate(cells):
         res = GridCellResult(cell, [])
-        for fold, (tr_idx, va_idx) in enumerate(_kfold(len(dataset), cv_folds,
-                                                       base_cfg.seed)):
-            model = build_model(cell, base_cfg.seed + fold)
-            rec = fit(model, dataset.subset(tr_idx), dataset.subset(va_idx),
-                      replace(cfg, seed=base_cfg.seed + fold))
+        for fold, rec in enumerate(records[i * cv_folds:(i + 1) * cv_folds]):
             if rec.error is not None:  # cell marked failed, search continues
                 res.error = f"fold {fold}: {rec.error}"
                 break

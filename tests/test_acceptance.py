@@ -382,12 +382,11 @@ def test_a12_sweep_consistency():
     grid = {"batch_size": [64, 128], "lr": [1e-3, 5e-4, 1e-4],
             "hidden": [16, 32], "aug": [1, 2, 5]}
 
-    def build(cell, seed):
-        return Model(ModelSpec(kind="anode", input_dim=1, p=cell["aug"],
-                               hidden_dim=cell["hidden"], output_dim=1),
-                     seed=seed)
+    def spec(cell):
+        return ModelSpec(kind="anode", input_dim=1, p=cell["aug"],
+                         hidden_dim=cell["hidden"], output_dim=1)
 
-    results = grid_search(grid, build, dataset, 3,
+    results = grid_search(grid, spec, dataset, 3,
                           TrainConfig(epochs=5, seed=0, solver=SOLVER))
     assert len(results) == 36
     best = results[0]

@@ -395,8 +395,8 @@ class TestDivergence:
 
 
 class TestStiffness:
-    """Hairer's stiffness test (his DOPRI5 code's NSTIFF rule) on accepted
-    steps 1000, 2000, ... and on each step after while its count runs."""
+    """Hairer's stiffness test (his DOPRI5 code's NSTIFF rule) on every
+    accepted step from step 1000 on."""
 
     class Decay:
         """dh/dt = -1e4 h: stiff as soon as the transient has gone, so the
@@ -420,6 +420,18 @@ class TestStiffness:
         # would let it run to t = 1 (about 3000 steps)
         accepted = int(str(exc.value).split("(")[1].split()[0])
         assert 1015 <= accepted < 1100 and exc.value.nfe < 6 * 1100
+
+    @pytest.mark.parametrize("h0, tol", [(1.0, 1e-3), (3.0, 1e-4)])
+    def test_stiff_decays_end_before_step_1100(self, h0, tol):
+        # the estimate at step 1000 can fall at or below the bound, so the
+        # count starts later; testing only steps 1000, 2000, ... and a
+        # running count let these decays go on to step 2022 or to t = 1
+        # (3032 steps)
+        cfg = SolverConfig(rtol=tol, atol=tol)
+        with pytest.raises(StepLimitError, match="the problem turned stiff at t=") as exc:
+            integrate(self.Decay(), Tensor([h0]), 0.0, [1.0], cfg)
+        accepted = int(str(exc.value).split("(")[1].split()[0])
+        assert 1015 <= accepted < 1100
 
     def test_solves_below_1000_steps_are_not_tested(self):
         # the same stiff decay over a third of the span, about 900 steps

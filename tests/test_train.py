@@ -1,7 +1,8 @@
 """Optimizer behavior, the training loop's record contract, determinism,
-and grid search."""
+the fit-job runner, and grid search."""
 
 import gc
+import pickle
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -17,9 +18,9 @@ from anodelab.expcli import save_checkpoint, write_record_csvs
 from anodelab.models import Model, ModelSpec
 from anodelab.odeint import DivergenceError, SolverConfig, StepLimitError
 from anodelab import train as trn
-from anodelab.train import (AdamState, GradientError, GridCellResult,
+from anodelab.train import (AdamState, FitJob, GradientError, GridCellResult,
                             TrainConfig, TrainRecord, adam_step, evaluate, fit,
-                            grid_search)
+                            grid_search, run_fits)
 from anodelab.tensorgrad import ParamSet
 
 
@@ -371,11 +372,40 @@ class TestFit:
         rec = fit(m, ds, ds, fast_cfg(epochs=2))
         assert 0.0 <= rec.epochs[-1].train_acc <= 1.0
 
-    def test_epoch_callback_indices(self):
-        seen = []
-        fit(tiny_model(), tiny_dataset(), None, fast_cfg(epochs=3),
-            epoch_callback=lambda i, m: seen.append(i))
-        assert seen == [0, 1, 2, 3]
+    @pytest.mark.parametrize("every, epochs", [(0, 3), (1, 3), (2, 5), (3, 3)])
+    def test_snapshot_epochs(self, every, epochs):
+        """Copies of the parameters after 0, k, 2k, ... <= epochs epochs."""
+        model = tiny_model()
+        init = model.params.data.copy()
+        rec = fit(model, tiny_dataset(), None, fast_cfg(epochs=epochs),
+                  snapshot_every=every)
+        assert list(rec.snapshots) == (list(range(0, epochs + 1, every))
+                                       if every else [])
+        if every:
+            assert np.array_equal(rec.snapshots[0], init)
+            ref = tiny_model()
+            fit(ref, tiny_dataset(), None, fast_cfg(epochs=every))
+            assert np.array_equal(rec.snapshots[every], ref.params.data)
+        if every and epochs % every == 0:
+            last = rec.snapshots[epochs]
+            assert np.array_equal(last, model.params.data)
+            assert not np.shares_memory(last, model.params.data)
+
+    def test_snapshots_before_a_failure_are_kept(self, monkeypatch):
+        real_evaluate = trn.evaluate
+        calls = []
+
+        def fail_at_epoch_2(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise StepLimitError("dopri5: step limit 7 reached", 7)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(trn, "evaluate", fail_at_epoch_2)
+        rec = fit(tiny_model(), tiny_dataset(), tiny_dataset(16, seed=1),
+                  fast_cfg(epochs=4), snapshot_every=1)
+        assert rec.error.startswith("step limit at epoch 2 validation")
+        assert list(rec.snapshots) == [0, 1, 2]
 
     def test_resnet_nfe_is_layer_count(self):
         m = Model(ModelSpec(kind="resnet", input_dim=1, hidden_dim=4,
@@ -471,17 +501,61 @@ class TestEvaluate:
         assert 0.0 <= acc <= 1.0
 
 
+class TestRunFits:
+    @staticmethod
+    def jobs():
+        specs = [ModelSpec(kind="node", input_dim=1, hidden_dim=4),
+                 ModelSpec(kind="anode", input_dim=1, hidden_dim=4, p=2),
+                 ModelSpec(kind="resnet", input_dim=1, hidden_dim=4,
+                           resnet_layers=2)]
+        return [FitJob(spec, Model(spec, seed=i).params.data,
+                       fast_cfg(epochs=2, seed=i), tiny_dataset(seed=i),
+                       tiny_dataset(16, seed=10 + i), snapshot_every=i)
+                for i, spec in enumerate(specs)]
+
+    @staticmethod
+    def outcome(results):
+        return [(rec.deterministic_rows(), rec.error, params.tobytes(),
+                 {e: s.tobytes() for e, s in rec.snapshots.items()})
+                for rec, params in results]
+
+    def test_each_job_is_its_fit(self):
+        jobs = self.jobs()
+        for seed, (job, (rec, params)) in enumerate(zip(jobs, run_fits(jobs))):
+            model = Model(job.spec, seed=seed)
+            ref = fit(model, job.train_set, job.val_set, job.cfg, job.snapshot_every)
+            assert rec.deterministic_rows() == ref.deterministic_rows()
+            assert np.array_equal(params, model.params.data)
+            assert rec.snapshots.keys() == ref.snapshots.keys()
+
+    def test_results_do_not_depend_on_job_order(self):
+        """Reversed jobs give the same records, trained buffers and
+        snapshots, in their own order; so do jobs that went through pickle,
+        as they would to a worker process."""
+        jobs = self.jobs()
+        forward = self.outcome(run_fits(jobs))
+        assert [error for _, error, _, _ in forward] == [None] * len(jobs)
+        assert self.outcome(run_fits(jobs[::-1])) == forward[::-1]
+        assert self.outcome(run_fits(pickle.loads(pickle.dumps(jobs)))) == forward
+
+    def test_jobs_are_left_as_they_were(self):
+        jobs = self.jobs()
+        inits = [job.init.copy() for job in jobs]
+        run_fits(jobs)
+        assert all(np.array_equal(job.init, init) for job, init in zip(jobs, inits))
+
+
 class TestGridSearch:
-    def _build(self, cell, seed):
-        return Model(ModelSpec(kind="anode", input_dim=1,
-                               hidden_dim=cell["hidden"], p=cell.get("aug", 0),
-                               output_dim=1), seed=seed)
+    @staticmethod
+    def _spec(cell):
+        return ModelSpec(kind="anode", input_dim=1, hidden_dim=cell["hidden"],
+                         p=cell.get("aug", 0), output_dim=1)
 
     def test_cell_count_and_ranking(self):
         grid = {"lr": [1e-2, 1e-3], "hidden": [4, 8]}
         base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
                            batch_size=16)
-        results = grid_search(grid, self._build, tiny_dataset(30), 3,
+        results = grid_search(grid, self._spec, tiny_dataset(30), 3,
                               replace(base, epochs=1))
         assert len(results) == 4
         assert all(len(r.fold_losses) == 3 for r in results if r.error is None)
@@ -491,26 +565,24 @@ class TestGridSearch:
     def test_lr_override_changes_outcome(self):
         base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
                            batch_size=16)
-        results = grid_search({"lr": [1e-1, 1e-5], "hidden": [8]}, self._build,
+        results = grid_search({"lr": [1e-1, 1e-5], "hidden": [8]}, self._spec,
                               tiny_dataset(30), 2, replace(base, epochs=4))
         by_lr = {r.cell["lr"]: r.mean_val_loss for r in results}
         assert by_lr[1e-1] != by_lr[1e-5]
 
     def test_failed_cell_marked_search_continues(self):
-        def build(cell, seed):
-            model = self._build(cell, seed)
-            if cell["hidden"] == 6:
-                model.params["dyn.l3.b"].data[...] = np.nan
-            return model
-
+        # lr 1e30 moves every weight by about 1e30 in the first step, so the
+        # next solve overflows; the cell ahead of it in the grid trains
         base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
                            batch_size=16)
-        results = grid_search({"hidden": [4, 6]}, build, tiny_dataset(20), 2,
-                              replace(base, epochs=1))
+        results = grid_search({"lr": [1e30, 1e-3], "hidden": [4]}, self._spec,
+                              tiny_dataset(20), 2, replace(base, epochs=1))
         failed = [r for r in results if r.error is not None]
-        assert len(failed) == 1
+        assert len(failed) == 1 and failed[0].cell["lr"] == 1e30
         assert failed[0].error.startswith("fold 0: divergence at epoch 0")
+        assert failed[0].fold_losses == []
         assert results[-1] is failed[0]  # failed cells rank last
+        assert len(results[0].fold_losses) == 2
 
     @pytest.mark.parametrize("exc", [StepLimitError("step limit", 7),
                                      DivergenceError("non-finite state")])
@@ -521,23 +593,23 @@ class TestGridSearch:
         monkeypatch.setattr(trn, "evaluate", failing_evaluate)
         base = TrainConfig(solver=SolverConfig(method="rk4", fixed_step=0.25),
                            batch_size=16)
-        [res] = grid_search({"hidden": [4]}, self._build, tiny_dataset(20), 2,
+        [res] = grid_search({"hidden": [4]}, self._spec, tiny_dataset(20), 2,
                             replace(base, epochs=1))
         what = "step limit" if isinstance(exc, StepLimitError) else "divergence"
         assert res.error == f"fold 0: {what} at epoch 0 validation: {exc}"
         assert res.fold_losses == []
 
     def test_program_error_propagates(self):
-        def build(cell, seed):
+        def spec(cell):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            grid_search({"hidden": [4]}, build, tiny_dataset(20), 2,
+            grid_search({"hidden": [4]}, spec, tiny_dataset(20), 2,
                         TrainConfig(epochs=1))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            grid_search({}, self._build, tiny_dataset(10), 2, TrainConfig(epochs=1))
+            grid_search({}, self._spec, tiny_dataset(10), 2, TrainConfig(epochs=1))
 
 
 class TestP0Degeneracy:
