@@ -3,7 +3,7 @@ NODE/ANODE/ResNet models, dataset generators, training harness and CLI."""
 
 from .tensorgrad import CompGraph, ParamSet, Tensor, backward, grad_check
 from .odeint import (DivergenceError, OdeSolution, SolverConfig, StepLimitError,
-                     adapt_step, dopri5_step, integrate)
+                     adapt_step, integrate)
 from .models import (FlowSnapshot, Model, ModelSpec, augment, features,
                      flow_trajectory, node_forward, param_count, vector_field)
 from .data import (LabeledSet, SphereAnnulusConfig, angular_split, batches,

@@ -141,11 +141,6 @@ class MlpDynamics:
     def __post_init__(self):  # d state columns and the time column in, d out
         tg.check_mlp(self.layers, self.layers[-1][0].shape[-1] + 1 if self.layers else 0)
 
-    @staticmethod
-    def init(params: ParamSet, rng, dim: int, hidden: int, prefix: str = "dyn"):
-        shapes = _mlp(prefix, (dim + 1, hidden, hidden, dim))
-        return MlpDynamics(_add_params(params, rng, shapes))
-
     def eval(self, h: np.ndarray, t: float):
         return tg.mlp_vjp(h, t, self.layers)
 
@@ -204,6 +199,13 @@ def param_count(spec: ModelSpec) -> int:
     return sum(math.prod(shape) for _, shape in param_shapes(spec))
 
 
+def _residual(h: np.ndarray, layer):
+    """One update h + f(h) of the resnet baseline and its vjp, g + f's vjp."""
+    out, vjp = tg.mlp_vjp(h, None, layer)
+    out += h
+    return out, lambda g: g + vjp(g)
+
+
 def _flow(model: Model, x: Tensor, times: list[float],
           cfg: SolverConfig | None, per_sample: bool = False) -> tuple[list[Tensor], int]:
     """The one solve of every forward pass: the states and the dynamics
@@ -215,8 +217,7 @@ def _flow(model: Model, x: Tensor, times: list[float],
     if spec.kind == "resnet":
         states = [x]
         for layer in model.layers:
-            h = states[-1]
-            states.append(tg.lincomb((1.0, 1.0), (h, tg.mlp(h, None, layer))))
+            states.append(tg.vjp_node(_residual, states[-1], layer))
         return states, spec.resnet_layers
     sol = integrate(model.dynamics, augment(x, spec.aug), 0.0, times, cfg,
                     per_sample=per_sample)

@@ -1,24 +1,25 @@
 """Initial-value-problem integrators with exact function-evaluation accounting.
 
 Fixed-step Euler and RK4, and adaptive Dormand-Prince RK45 with the FSAL
-property, behind one step interface (_STEPS) and one integration loop
-(integrate), over dynamics that evaluate on arrays (Dynamics).  All state
-arithmetic is recorded on the active CompGraph, so backward()
-differentiates through the solver (discretize-then-optimize): Euler and RK4
-through lincomb and one node per evaluation, dopri5 through one node per
-attempt (Dopri5Stages).  Step-size control operates on detached values and
-is not differentiated.
+property, each an explicit Runge-Kutta tableau (Tableau), whose every step
+attempt is one Attempt, all run by one integration loop (integrate) over
+dynamics that evaluate on arrays (Dynamics).  All state arithmetic is
+recorded on the active CompGraph, so backward() differentiates through the
+solver (discretize-then-optimize): each attempt is one node, and so is each
+first stage k1 that the loop evaluates.  Step-size control operates on
+detached values and is not differentiated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from . import tensorgrad as tg
-from .tensorgrad import Tensor, lincomb
+from .tensorgrad import Tensor
 
 
 class StepLimitError(RuntimeError):
@@ -104,60 +105,65 @@ _DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
          -1453857185 / 822651844, 69997945 / 29380423)
 _DP_DENSE = np.array([_DP_B5, np.eye(7)[0] - _DP_B5,
                       2 * np.array(_DP_B5) - np.eye(7)[0] - np.eye(7)[6], _DP_D])
-
-
-# The stage sums of one attempt as rows over the buffer of (h, k1, ..., k7):
-# row i < 6 is the input of stage i + 2; row 5 is also h_next, since the
-# last row of _DP_A is the 5th-order weights (FSAL); row 6 is the error
-# estimate.  Column 0 is h's coefficient, 1 as in lincomb; the others are
-# multiplied by dt in each attempt.  _DP_COLS[i] are the columns of row i
-# with a non-zero entry (a slice where they are contiguous, which indexes
-# without a copy), _DP_TAIL[i] those past h and k1, and _DP_PLAN[i] the
-# plan of its _stage_sum.
-_DP_W = np.zeros((7, 8))
-_DP_W[:6, 0] = 1.0
-for _i, _row in enumerate((*_DP_A[1:], _DP_E)):
+# the stage inputs, h_next and the error estimate over (h, k1, ..., k7)
+_DP_W = np.zeros((8, 8))
+for _i, _row in enumerate((*_DP_A[1:], _DP_B5, _DP_E)):
     _DP_W[_i, 1:len(_row) + 1] = _row
-_DP_COLS = [np.flatnonzero(_row) for _row in _DP_W]
-_DP_TAIL = [_cols[2:].tolist() for _cols in _DP_COLS]
-_DP_COLS = [slice(_cols[0], _cols[-1] + 1) if len(_cols) == _cols[-1] - _cols[0] + 1
-            else _cols for _cols in _DP_COLS]
 
 
-def _sum_plan(c: np.ndarray) -> tuple[int, int, list[int]]:
-    """The plan of a _stage_sum with coefficients ``c``: the span lo:hi of
-    its non-zero coefficients and the rows of that span, counted from lo,
-    whose coefficient is zero."""
+def _dopri5_rows(dt: float) -> np.ndarray:
+    c = dt * _DP_W
+    c[:7, 0] = 1.0
+    return c
+
+
+def _rk4_rows(dt: float) -> np.ndarray:
+    # dt / 6 and dt / 3, not dt * (1/6) and dt * (1/3), which round otherwise
+    return np.array([[1.0, dt / 2, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, dt / 2, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, dt, 0.0],
+                     [1.0, dt / 6, dt / 3, dt / 3, dt / 6]])
+
+
+def _sum_plan(c: np.ndarray) -> tuple:
+    """The plan of a stage sum with coefficients ``c``: the span lo:hi of
+    its non-zero coefficients, the rows of that span, counted from lo, whose
+    coefficient is zero, and the non-zero columns, as a list and as an index
+    (a slice where they are contiguous, which indexes without a copy)."""
     cols = np.flatnonzero(c)
     lo, hi = int(cols[0]), int(cols[-1]) + 1
-    return lo, hi, np.flatnonzero(c[lo:hi] == 0.0).tolist()
+    gaps = np.flatnonzero(c[lo:hi] == 0.0).tolist()
+    return lo, hi, gaps, cols.tolist(), cols if gaps else slice(lo, hi)
 
 
-_DP_PLAN = [_sum_plan(_row) for _row in _DP_W]
+class Tableau:
+    """An explicit Runge-Kutta method as data: ``c``, the time of each of its
+    s stages as a fraction of the step, and ``rows(dt)``, its coefficient
+    rows over the buffer (h, k1, ..., ks) of a step dt: the inputs of stages
+    2..s, then h_next, then, for an adaptive method, the local error
+    estimate.  Each row's plan (_sum_plan) follows from its zeros.  The
+    method is FSAL (first same as last) when h_next is its last stage's
+    input; that stage is then the next step's k1."""
 
-
-class _CountingDynamics:
-    """Wraps a dynamics function to count evaluations exactly."""
-
-    def __init__(self, f: Dynamics):
-        self.f = f
-        self.nfe = 0
-
-    def eval(self, h: np.ndarray, t: float):
-        self.nfe += 1
-        return self.f.eval(h, t)
+    def __init__(self, c: tuple[float, ...], rows: Callable[[float], np.ndarray]):
+        pattern, s = rows(1.0), len(c)
+        self.c, self.rows, self.s = c, rows, s
+        self.plans = [_sum_plan(row) for row in pattern]
+        self.span = max(hi - lo for lo, hi, *_ in self.plans)  # terms of a sum
+        self.adaptive = len(pattern) > s
+        self.fsal = s > 1 and np.array_equal(pattern[s - 2], pattern[s - 1])
 
 
 def _stage_sum(w: np.ndarray, K: np.ndarray, plan, scratch: np.ndarray) -> np.ndarray:
-    """sum_i w[i] * K[i] over the rows of ``plan`` (_sum_plan), in order, as
-    one product over the span of the rows, written into ``scratch``, and
-    one reduce.  A row of the span with a zero coefficient takes the sum of
-    the terms before it, and the sum goes on from there, so every term is
-    added in turn.  A reduce starts from -0.0, which leaves a first term as
-    it is, and adds term by term (NumPy sums a one-element state pairwise
-    only from 8 terms on; a sum here has at most 7), so the result has the
-    bits of lincomb's sum, which skips zero coefficients."""
-    lo, hi, gaps = plan
+    """sum_i w[i] * K[i] over the rows of ``plan``, in order, as one product
+    over the span of the rows, written into ``scratch``, and one reduce.  A
+    row of the span with a zero coefficient takes the sum of the terms
+    before it, and the sum goes on from there, so every term is added in
+    turn.  A reduce starts from -0.0, which leaves a first term as it is,
+    and adds term by term (NumPy sums a one-element state pairwise only from
+    8 terms on; a sum here has at most 7), so the result has the bits of
+    the flat sum acc = c0 * t0; acc += c * t for each non-zero c."""
+    lo, hi, gaps = plan[:3]
     p = np.multiply(w[lo:hi], K[lo:hi], out=scratch[:hi - lo])
     start = 0
     for g in gaps:
@@ -167,49 +173,48 @@ def _stage_sum(w: np.ndarray, K: np.ndarray, plan, scratch: np.ndarray) -> np.nd
     return np.add.reduce(p[start:], axis=0, initial=-0.0)
 
 
-class Dopri5Stages:
-    """One Dormand-Prince attempt from (h, t) with signed step dt, given
-    k1 = f(h, t): its seven stages k1..k7 as rows 1..7 of one buffer ``K``,
-    whose row 0 is h, and each stage sum as one _stage_sum over ``K``.
+class Attempt:
+    """One Runge-Kutta attempt of tableau ``tab`` from (h, t) with signed
+    step dt, given k1 = f(h, t): its s stages k1..ks as rows 1..s of one
+    buffer ``K``, whose row 0 is h, and each of its sums (tab.rows) as one
+    _stage_sum over ``K``.  It evaluates f s - 1 times.
 
-    On a tape the attempt is one node, ``h_next``, which keeps its six
-    evaluations' vjps.  After an accepted attempt, each dense output
-    (``dense``) and k7, the next attempt's k1 (``fsal``), is a small node
-    that leaves its gradient with the attempt.  The backward walks the
-    stage sums and the vjps in the reverse order of the flat tape of
-    lincomb and evaluation nodes that it replaces.  It hands back h's and
-    k1's term of each sum as a pair of its own and adds up each stage's
-    terms one by one, as that tape did, so every gradient has the flat
-    tape's bits and memory order (convnet's bias gradient is a reduce,
+    On a tape the attempt is one node, ``h_next``, which keeps its
+    evaluations' vjps.  After an accepted dopri5 attempt, each dense output
+    (``dense``) and its last stage, the next attempt's k1 (``fsal``), is a
+    small node that leaves its gradient with the attempt.  The backward
+    walks the sums and the vjps in the reverse order of the flat tape of one
+    node per sum and per evaluation that it replaces.  It hands back h's and
+    k1's term of each sum that has one as a pair of its own and adds up each
+    stage's terms one by one, as that tape did, so every gradient has the
+    flat tape's bits and memory order (convnet's bias gradient is a reduce,
     whose rounding follows it).  With no active graph nothing is kept."""
 
-    def __init__(self, f, h: Tensor, t: float, dt: float, k1: Tensor):
-        shape = h.data.shape
-        self.h, self.k1, self.dt = h, k1, dt
-        self.K = K = np.empty((8,) + shape)
+    def __init__(self, tab: Tableau, f, h: Tensor, t: float, dt: float, k1: Tensor):
+        shape, s = h.data.shape, tab.s
+        self.tab, self.h, self.k1, self.dt = tab, h, k1, dt
+        self.K = K = np.empty((s + 1,) + shape)
         K[0], K[1] = h.data, k1.data
-        c = dt * _DP_W
-        c[:6, 0] = 1.0
-        self.w = w = c.reshape(c.shape + (1,) * len(shape))
+        self.w = w = tab.rows(dt).reshape((-1, s + 1) + (1,) * len(shape))
         self.vjps = [] if tg.active_graph() is not None else None
-        # one scratch array for the products of every stage sum (at most 7
-        # rows): a product of a large state allocated anew would be mapped
-        # and faulted in each time
-        P = np.empty((7,) + shape)
-        for i in range(6):
-            y = _stage_sum(w[i], K, _DP_PLAN[i], P)
-            K[i + 2], vjp = f.eval(y, t + _DP_C[i + 1] * dt)
+        # one scratch array for the products of every sum: a product of a
+        # large state allocated anew would be mapped and faulted in each time
+        P = np.empty((tab.span,) + shape)
+        for i in range(s - 1):  # stage i + 2, from the sum of row i
+            y = _stage_sum(w[i], K, tab.plans[i], P)
+            K[i + 2], vjp = f.eval(y, t + tab.c[i + 1] * dt)
             if self.vjps is not None:
                 self.vjps.append(vjp)
-        self.err = _stage_sum(w[6], K, _DP_PLAN[6], P)
+        if not tab.fsal:  # else h_next has the bits of the last stage's input
+            y = _stage_sum(w[s - 1], K, tab.plans[s - 1], P)
+        self.err = _stage_sum(w[s], K, tab.plans[s], P) if tab.adaptive else None
         self.G = None  # each stage's gradient, summed term by term in backward
-        # h_next has the bits of stage 7's input, the same sum
         self.h_next = tg.record(y, self._backward)
 
     def dense(self, coeffs: np.ndarray) -> Tensor:
-        """h + sum_i coeffs[i] * k_(i+1), term by term as lincomb sums it: a
-        state on the attempt's span from the continuous extension's weights
-        (an export asks for many, so each is one pass per term)."""
+        """h + sum_i coeffs[i] * k_(i+1), term by term as the flat sum adds
+        it: a state on the attempt's span from the continuous extension's
+        weights (an export asks for many, so each is one pass per term)."""
         K = self.K
         cols = (np.flatnonzero(coeffs) + 1).tolist()
         c = np.append(1.0, coeffs)
@@ -222,7 +227,8 @@ class Dopri5Stages:
             if cols[0] == 1:
                 pairs.append((self.k1, g * c[1]))
                 stages = cols[1:]
-            self._stage_grad(stages, [g * c[j] for j in stages])
+            for j in stages:
+                self._add_grad(j, g * c[j])
             # h_next's gradient, even if nothing else gives it one, makes the
             # attempt's node run
             pairs.append((self.h_next, np.zeros_like(g)))
@@ -231,71 +237,59 @@ class Dopri5Stages:
         return tg.record(acc, backward)
 
     def fsal(self) -> Tensor:
-        """k7 = f(h_next), the next attempt's k1 (first same as last).  With
+        """The last stage, the next attempt's k1 (first same as last).  With
         nothing recorded it is a copy, so the buffer goes with the attempt."""
-        k7 = self.K[7] if self.vjps is not None else self.K[7].copy()
-        return tg.record(k7, lambda g: self._stage_grad((7,), (g,)))
+        s = self.tab.s
+        k = self.K[s] if self.vjps is not None else self.K[s].copy()
+        return tg.record(k, lambda g: self._add_grad(s, g))
 
     def stiffness(self) -> float:
-        """Hairer's h*lambda (Solving ODEs II, sec. IV.2, his DOPRI5 code):
-        |dt| * ||k7 - k6|| / ||h_next - y6||, y6 stage 6's input (row 4)."""
-        K = self.K
-        dy = self.h_next.data - _stage_sum(self.w[4], K, _DP_PLAN[4], np.empty_like(K))
-        dk, den = K[7] - K[6], np.vdot(dy, dy)
+        """Hairer's h*lambda (Solving ODEs II, sec. IV.2, his DOPRI5 code) of
+        an FSAL attempt: |dt| * ||ks - k(s-1)|| / ||h_next - y(s-1)||,
+        y(s-1) stage s - 1's input (row s - 3)."""
+        K, s = self.K, self.tab.s
+        y = _stage_sum(self.w[s - 3], K, self.tab.plans[s - 3], np.empty_like(K))
+        dy, dk = self.h_next.data - y, K[s] - K[s - 1]
+        den = np.vdot(dy, dy)
         return abs(self.dt) * float(np.sqrt(np.vdot(dk, dk) / den)) if den else 0.0
 
-    def _stage_grad(self, rows, terms) -> tuple:
-        # the gradient terms of stages ``rows``, added to each stage's sum;
-        # a first term is copied in its own memory order, so that a row of
-        # one product does not keep the whole product alive
-        G = self.G = self.G or [None] * 8
-        for r, p in zip(rows, terms):
-            G[r] = p.copy(order="K") if G[r] is None else G[r] + p
+    def _add_grad(self, r: int, p: np.ndarray) -> tuple:
+        # a gradient term of stage r, added to the stage's sum; a first term
+        # is copied in its own memory order, so that a row of one product
+        # does not keep the whole product alive
+        G = self.G = self.G or [None] * (self.tab.s + 1)
+        G[r] = p.copy(order="K") if G[r] is None else G[r] + p
         return ()
 
     def _sum_backward(self, row: int, g: np.ndarray):
-        # the gradient terms of stage sum ``row`` as one product, each row
+        # the gradient terms of the sum of ``row`` as one product, each row
         # in g's memory order as the flat tape's g * c; h's and k1's go out
-        # as pairs
-        p = self.w[row, _DP_COLS[row]] * g
-        yield self.h, p[0]
-        yield self.k1, p[1]
-        self._stage_grad(_DP_TAIL[row], p[2:])
+        # as pairs, where the sum has them
+        *_, cols, take = self.tab.plans[row]
+        p = self.w[row, take] * g
+        for col, term in zip(cols, p):
+            if col > 1:
+                self._add_grad(col, term)
+            else:
+                yield (self.h, self.k1)[col], term
 
     def _backward(self, g: np.ndarray):
         # a generator: the tape's loop takes each pair as it comes, so no
         # term waits in a list for the whole attempt
-        yield from self._sum_backward(5, g)
+        s = self.tab.s
+        yield from self._sum_backward(s - 1, g)
         G = self.G
-        for i in range(5, -1, -1):  # stage i + 2, from its input, row i's sum
+        for i in range(s - 2, -1, -1):  # stage i + 2, from its input, row i's sum
             if G[i + 2] is not None:
                 yield from self._sum_backward(i, self.vjps[i](G[i + 2]))
         self.G = None
 
 
-def dopri5_step(f, h: Tensor, t: float, dt: float, k1: Tensor):
-    """A Dopri5Stages as a step: (h_next, error estimate, stages).  Its k7
-    is the next step's k1 (FSAL), so an attempt costs 6 evaluations."""
-    stages = Dopri5Stages(f, h, t, dt, k1)
-    return stages.h_next, stages.err, stages
-
-
-def _euler_step(f, h, t, dt, _k1):
-    return lincomb((1.0, dt), (h, tg.vjp_node(f.eval, h, t))), None, None
-
-
-def _rk4_step(f, h, t, dt, _k1):
-    k1 = tg.vjp_node(f.eval, h, t)
-    k2 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
-    k3 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
-    k4 = tg.vjp_node(f.eval, lincomb((1.0, dt), (h, k3)), t + dt)
-    return (lincomb((1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4)),
-            None, None)
-
-
-# step(f, h, t, dt, k1) -> (h_next, err, stages): dopri5's local error
-# estimate and its Dopri5Stages; None for Euler and RK4
-_STEPS = {"euler": _euler_step, "rk4": _rk4_step, "dopri5": dopri5_step}
+_TABLEAUS = {"euler": Tableau((0.0,), lambda dt: np.array([[1.0, dt]])),
+             "rk4": Tableau((0.0, 0.5, 0.5, 1.0), _rk4_rows),
+             "dopri5": Tableau(_DP_C, _dopri5_rows)}
+# step(f, h, t, dt, k1) -> Attempt, a seam the tests swap for flat references
+_STEPS = {name: functools.partial(Attempt, tab) for name, tab in _TABLEAUS.items()}
 
 
 def error_norm(err: np.ndarray, h: np.ndarray, h_next: np.ndarray,
@@ -363,6 +357,9 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     instead of the batch's RMS error (see error_norm); the fixed-step methods
     ignore it.
 
+    Each step is one Attempt of the method's tableau.  The loop evaluates
+    an attempt's k1 when it has none (every Euler and RK4 step, dopri5's
+    first step) and counts one evaluation for it, plus s - 1 per attempt.
     An output time within 1e-12 of the state already reached is recorded
     with that state, without evaluating f.  Euler and RK4 end a segment at
     every other output time and cross it in ceil(|span|/fixed_step) equal
@@ -370,7 +367,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     adaptive steps only at times[-1], so its steps, NFE and last state are
     those of the solve to times[-1] alone; an accepted step records each
     output time it passed, within 1e-12 of its end as its end state, else by
-    the 4th-order continuous extension (one lincomb, no evaluation).  From
+    the 4th-order continuous extension (Attempt.dense, no evaluation).  From
     accepted step 1000 on, a stiffness test (STIFF_*) may end a dopri5 solve.
     """
     cfg = cfg or SolverConfig()
@@ -385,19 +382,18 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     if not np.all(np.isfinite(x0.data)):
         raise DivergenceError("initial state is not finite")
 
-    f = _CountingDynamics(f)
-    step = _STEPS[cfg.method]
-    fixed = cfg.method != "dopri5"
-    t, h, k1 = t0, x0, None
+    tab, step = _TABLEAUS[cfg.method], _STEPS[cfg.method]
+    fixed = not tab.adaptive
+    t, h, k1, nfe = t0, x0, None, 0
     span = abs(times[-1] - t0)
     if not fixed and span > 1e-12:
-        k1 = tg.vjp_node(f.eval, h, t)
+        k1, nfe = tg.vjp_node(f.eval, h, t), 1
         if not np.all(np.isfinite(k1.data)):
-            raise DivergenceError(f"dopri5: non-finite derivative at t={t:.6g}")
+            raise DivergenceError(f"{cfg.method}: non-finite derivative at t={t:.6g}")
         dt = direction * _initial_step(k1.data, x0.data, span, cfg)
     states: list[Tensor] = []
 
-    def record(t_end, h_end, stages=None):
+    def record(t_end, h_end, attempt=None):
         # every output time up to t_end: h_end within 1e-12 of t_end, an
         # earlier one dopri5's dense output on the step (t, h) -> t_end
         while (len(states) < len(times)
@@ -408,7 +404,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
             else:
                 th = (te - t) / (t_end - t)
                 w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
-                states.append(stages.dense((t_end - t) * (w @ _DP_DENSE)))
+                states.append(attempt.dense((t_end - t) * (w @ _DP_DENSE)))
 
     record(t, h)
     accepted = rejected = 0
@@ -421,39 +417,43 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
             while (accepted < end) if fixed else (direction * (target - t) > 1e-12):
                 if (end if fixed else accepted + rejected + 1) > cfg.max_steps:
                     raise StepLimitError(f"{cfg.method}: step limit {cfg.max_steps} "
-                                         f"reached at t={t:.6g}", f.nfe)
+                                         f"reached at t={t:.6g}", nfe)
+                if k1 is None:
+                    k1, nfe = tg.vjp_node(f.eval, h, t), nfe + 1
                 dt_try = dt
                 if not fixed and direction * (t + dt - target) > 0:
                     dt_try = target - t  # clip to the last output time
-                h_next, err, stages = step(f, h, t, dt_try, k1)
+                attempt = step(f, h, t, dt_try, k1)
+                nfe += tab.s - 1
+                h_next = attempt.h_next
                 if not np.isfinite(h_next.data).all():
                     raise DivergenceError(f"{cfg.method}: non-finite state "
                                           f"at t={t:.6g}")
-                accept = err is None
-                if not accept:
-                    norm = error_norm(err, h.data, h_next.data, cfg, per_sample)
+                accept = fixed
+                if not fixed:
+                    norm = error_norm(attempt.err, h.data, h_next.data, cfg, per_sample)
                     accept, dt_mag = adapt_step(norm, abs(dt_try))
                     dt = direction * dt_mag
                 if accept:
                     if not fixed:
-                        record(t + dt_try, h_next, stages)
-                    t, h, k1 = t + dt_try, h_next, stages and stages.fsal()
+                        record(t + dt_try, h_next, attempt)
+                    t, h = t + dt_try, h_next
+                    k1 = attempt.fsal() if tab.fsal else None
                     accepted += 1
-                    if stages and accepted >= STIFF_EVERY:
-                        if stages.stiffness() > STIFF_BOUND:
+                    if not fixed and accepted >= STIFF_EVERY:
+                        if attempt.stiffness() > STIFF_BOUND:
                             stiff, nonstiff = stiff + 1, 0
                         else:
                             nonstiff += 1
-                            if nonstiff == NONSTIFF_STEPS:
-                                stiff = 0
+                            stiff = 0 if nonstiff == NONSTIFF_STEPS else stiff
                         if stiff == STIFF_STEPS:
                             raise StepLimitError(
-                                f"dopri5: the problem turned stiff at t={t:.6g} "
-                                f"({accepted} steps accepted)", f.nfe)
+                                f"{cfg.method}: the problem turned stiff at "
+                                f"t={t:.6g} ({accepted} steps accepted)", nfe)
                 else:
                     rejected += 1
-                stages = None  # its buffers go before the next attempt's
+                attempt = None  # its buffers go before the next attempt's
             if fixed:
                 t = target
                 record(t, h)
-    return OdeSolution(list(times), states, f.nfe, accepted, rejected)
+    return OdeSolution(list(times), states, nfe, accepted, rejected)

@@ -77,8 +77,9 @@ class _Canvas:
 
 
 def _limits(arrs):
-    lo = min(float(np.min(a)) for a in arrs if len(a))
-    hi = max(float(np.max(a)) for a in arrs if len(a))
+    # no values at all (a record of no epochs) give an empty plot around 0
+    lo = min((float(np.min(a)) for a in arrs if np.size(a)), default=0.0)
+    hi = max((float(np.max(a)) for a in arrs if np.size(a)), default=0.0)
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)

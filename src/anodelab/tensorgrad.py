@@ -13,8 +13,8 @@ Only the primitives the models and losses need are provided, and none of
 them broadcasts.  The dynamics blocks ``mlp_vjp`` and ``convnet`` work on
 arrays: each returns its output and a ``vjp`` that adds the parameters'
 gradients into their ``.grad`` and returns the input's gradient.
-``vjp_node`` records such a pair as one node; the solver's dopri5 attempt
-keeps each stage's ``vjp`` and records its own node with ``record``.
+``vjp_node`` records such a pair as one node; the solver's Runge-Kutta
+attempt keeps each stage's ``vjp`` and records its own node with ``record``.
 """
 
 from __future__ import annotations
@@ -231,25 +231,6 @@ def tmean(a: Tensor, axis: tuple[int, ...]) -> Tensor:
         return ((a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n),)
 
     return record(np.mean(a.data, axis=axis), bwd)
-
-
-def lincomb(coeffs: Sequence[float], tensors: Sequence[Tensor]) -> Tensor:
-    """sum_i c_i * t_i with a single tape node; all tensors share one shape."""
-    if len(coeffs) != len(tensors):
-        raise ShapeError("lincomb: coefficient/tensor count mismatch")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError(f"lincomb: shapes {shape} and {t.shape} do not conform")
-    acc = coeffs[0] * tensors[0].data
-    for c, t in zip(coeffs[1:], tensors[1:]):
-        if c != 0.0:
-            acc += c * t.data
-
-    def bwd(g):
-        return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
-
-    return record(acc, bwd)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

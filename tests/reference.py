@@ -98,9 +98,30 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def lincomb(coeffs, tensors):
+    """sum_i c_i * t_i as one tape node, all tensors of one shape, zero
+    coefficients skipped; src's last uses of it became the solver's
+    Runge-Kutta attempt and the resnet's residual node."""
+    if len(coeffs) != len(tensors):
+        raise ShapeError("lincomb: coefficient/tensor count mismatch")
+    shape = tensors[0].shape
+    for t in tensors:
+        if t.shape != shape:
+            raise ShapeError(f"lincomb: shapes {shape} and {t.shape} do not conform")
+    acc = coeffs[0] * tensors[0].data
+    for c, t in zip(coeffs[1:], tensors[1:]):
+        if c != 0.0:
+            acc += c * t.data
+
+    def bwd(g):
+        return tuple((t, g * c) for c, t in zip(coeffs, tensors) if c != 0.0)
+
+    return tg.record(acc, bwd)
+
+
 def add(a, b):
     """a + b with NumPy broadcasting as one tape node; src's last uses of it
-    became lincomb((1.0, 1.0), ...) and the bias sum of mlp."""
+    became the resnet's residual update and the bias sum of mlp."""
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -179,27 +200,50 @@ class UnfusedConvDynamics(ConvDynamics):
 
 
 class FlatStages:
-    """The stages of a flat-tape attempt behind Dopri5Stages' interface: a
-    dense output is one lincomb node, and k7 is the evaluation's node."""
+    """A flat-tape attempt behind odeint.Attempt's interface: its h_next,
+    error estimate (None for a fixed-step method), a dense output as one
+    lincomb node, and its last stage's evaluation node as the next k1."""
 
-    def __init__(self, h, ks):
-        self.h, self.ks = h, ks
+    def __init__(self, h, ks, h_next, err=None):
+        self.h, self.ks, self.h_next, self.err = h, ks, h_next, err
 
     def dense(self, coeffs):
-        return tg.lincomb((1.0, *coeffs), (self.h, *self.ks))
+        return lincomb((1.0, *coeffs), (self.h, *self.ks))
 
     def fsal(self):
         return self.ks[-1]
 
 
+def flat_euler_step(f, h, t, dt, k1):
+    """Reference for the Euler attempt: the step as one lincomb node, as the
+    solver recorded it before its one attempt class; k1 = f(h, t) is the
+    loop's node."""
+    return FlatStages(h, [k1], lincomb((1.0, dt), (h, k1)))
+
+
+def flat_rk4_step(f, h, t, dt, k1):
+    """Reference for the RK4 attempt: one lincomb node per stage sum and one
+    node per evaluation (tg.vjp_node), all on the outer tape, as the solver
+    recorded it before its one attempt class; k1 is the loop's node."""
+    k2 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
+    k3 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
+    k4 = tg.vjp_node(f.eval, lincomb((1.0, dt), (h, k3)), t + dt)
+    return FlatStages(h, [k1, k2, k3, k4], lincomb(
+        (1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4)))
+
+
 def flat_dopri5_step(f, h, t, dt, k1):
-    """Reference for odeint.dopri5_step: the attempt as one lincomb node per
-    stage sum and one node per evaluation (tg.vjp_node, as Euler and RK4
-    record them), all on the outer tape."""
+    """Reference for the dopri5 attempt: one lincomb node per stage sum and
+    one node per evaluation (tg.vjp_node), all on the outer tape."""
     ks = [k1]
     for i in range(1, 7):
-        y = tg.lincomb((1.0,) + tuple(dt * a for a in _DP_A[i]), (h, *ks))
+        y = lincomb((1.0,) + tuple(dt * a for a in _DP_A[i]), (h, *ks))
         ks.append(tg.vjp_node(f.eval, y, t + _DP_C[i] * dt))
-    h_next = tg.lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
+    h_next = lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
     err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
-    return h_next, err, FlatStages(h, ks)
+    return FlatStages(h, ks, h_next, err)
+
+
+# the flat reference of each method's attempt, for odeint._STEPS
+FLAT_STEPS = {"euler": flat_euler_step, "rk4": flat_rk4_step,
+              "dopri5": flat_dopri5_step}

@@ -16,13 +16,12 @@ import pytest
 from anodelab import tensorgrad as tg
 from anodelab.data import (LabeledSet, SphereAnnulusConfig, angular_split,
                            gen_concentric, gen_g1d, load_idx)
-from anodelab.models import (Model, ModelSpec, MlpDynamics, features,
-                             invert_features, match_conv_filters, node_forward,
-                             param_count)
+from anodelab.models import (Model, ModelSpec, features, invert_features,
+                             match_conv_filters, node_forward, param_count)
 from anodelab.odeint import SolverConfig, integrate
 from anodelab.tensorgrad import ParamSet, Tensor, grad_check
 from anodelab.train import TrainConfig, fit, grid_search
-from reference import add, taped
+from reference import add, lincomb, taped
 
 SEEDS = (0, 1, 2, 3, 4)
 SOLVER = SolverConfig()          # adaptive RK45, rtol = atol = 1e-3
@@ -180,9 +179,8 @@ def test_a06_non_crossing(g1d_runs):
 
     total = 0
     for seed in range(50):
-        params = ParamSet()
-        dyn = MlpDynamics.init(params, np.random.default_rng(1000 + seed),
-                               dim=1, hidden=16)
+        dyn = Model(ModelSpec(input_dim=1, hidden_dim=16, head="identity"),
+                    seed=1000 + seed).dynamics
         total += violations(dyn)
     trained = sum(violations(model.dynamics)
                   for model, _ in g1d_runs["node"])
@@ -227,9 +225,12 @@ def test_a07_gronwall_bound():
     violations = 0
     for seed in range(20):
         rng = np.random.default_rng(2000 + seed)
-        params = ParamSet()
-        dyn = MlpDynamics.init(params, rng, dim=2, hidden=16)
-        c = lipschitz_bound(params, "dyn")
+        # a Generator as the seed: the weights are its first draws, x1 and
+        # x2 the next
+        model = Model(ModelSpec(input_dim=2, hidden_dim=16, output_dim=2,
+                                head="identity"), seed=rng)
+        dyn = model.dynamics
+        c = lipschitz_bound(model.params, "dyn")
         x1 = rng.uniform(-1, 1, size=(1, 2))
         x2 = x1 + rng.uniform(-0.5, 0.5, size=(1, 2))
         with tg.no_grad():
@@ -259,7 +260,7 @@ def test_a08_solver_correctness():
 
         @taped
         def eval(self, h, t):
-            return tg.lincomb((self.a,), (h,))
+            return lincomb((self.a,), (h,))
 
     sol = integrate(Exp(), Tensor([1.0]), 0.0, [1.0], cfg=SOLVER)
     exp_err = abs(sol.states[-1].item() - np.e)

@@ -51,12 +51,12 @@ def test_integrate_hook_reads_cfg_by_position():
     signature: only the dopri5 solve counts toward dopri5_solves and its NFE
     identity, also when cfg is passed by position."""
     from anodelab import odeint, tensorgrad as tg
-    from reference import taped
+    from reference import lincomb, taped
 
     class Exp:
         @taped
         def eval(self, h, t):
-            return tg.lincomb((1.0,), (h,))
+            return lincomb((1.0,), (h,))
 
     tracer = _load_tracer().Tracer()
     after = tracer._integrate_hook(odeint.integrate)

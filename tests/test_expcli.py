@@ -845,6 +845,34 @@ class TestSolverFailure:
         assert (out / "node_train.csv").exists() and (out / "node.ckpt").exists()
         assert not (out / "node_flow.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["toy", "--dim", "2", "--model", "node", "--epochs", "1"],
+        ["generalization", "--epochs", "1"],
+        ["nfe", "--epochs", "2", "--snapshot-every", "1"]],
+        ids=["toy", "generalization", "nfe"])
+    def test_svg_of_a_fit_failed_in_epoch_0(self, tmp_path, monkeypatch, capsys,
+                                            argv):
+        """A fit that fails in its first epoch has no epoch to plot: with
+        --svg its plots are empty, and the run exits 3 with only the failure
+        lines, after writing every artifact it writes without --svg."""
+        monkeypatch.setattr(cli, "SolverConfig",
+                            functools.partial(SolverConfig, max_steps=30))
+        runs = []
+        for flags in ([], ["--svg"]):
+            out = tmp_path / f"run{len(runs)}"
+            code = run(argv + ["--lr", "1e3", "--out", str(out)] + flags)
+            files = {p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "manifest.json"}  # it names the out dir
+            runs.append((code, capsys.readouterr(), files))
+        (code, io, files), (svg_code, svg_io, svg_files) = runs
+        assert code == svg_code == EXIT_TRAINING
+        assert svg_io == io and io.out == ""
+        assert all(": training failed: " in line for line in io.err.splitlines())
+        plots = {name for name in svg_files if name.endswith(".svg")}
+        assert plots and {name: b for name, b in svg_files.items()
+                          if name not in plots} == files
+        assert any(name.endswith("_loss.svg") for name in plots)
+
     def test_diverging_batch_prints_only_the_failure_line(self, tmp_path,
                                                           capsys):
         # the blow-up overflows matmuls and sums on its way to the

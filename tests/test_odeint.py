@@ -14,12 +14,15 @@ from anodelab.data import LabeledSet
 from anodelab.models import Model, ModelSpec
 from anodelab.odeint import (MAX_FACTOR, MIN_FACTOR, DivergenceError,
                              SolverConfig, StepLimitError, _initial_step,
-                             _stage_sum, _sum_plan, adapt_step, dopri5_step,
-                             error_norm, integrate)
+                             _stage_sum, _sum_plan, adapt_step, error_norm,
+                             integrate)
 from anodelab.tensorgrad import CompGraph, ParamSet, Tensor, backward
 from anodelab.train import TrainConfig, fit
-from reference import (error_norm_expr, flat_dopri5_step, grad_leaf, matmul,
+from reference import (FLAT_STEPS, error_norm_expr, grad_leaf, lincomb, matmul,
                        taped)
+
+# the dopri5 attempt: step(f, h, t, dt, k1) -> Attempt
+dopri5_step = odeint._STEPS["dopri5"]
 
 
 class Linear:
@@ -41,7 +44,7 @@ class Scalar:
 
     @taped
     def eval(self, h, t):
-        return tg.lincomb((self.a,), (h,))
+        return lincomb((self.a,), (h,))
 
 
 class _CountingTimes:
@@ -409,8 +412,8 @@ class TestStiffness:
         # for f = a h, k7 - k6 = a (h_next - y6): the quotient is |dt a|
         f = Scalar(-3.0)
         h = Tensor([[1.0], [-2.0]])
-        _, _, stages = dopri5_step(f, h, 0.0, -0.4, tg.vjp_node(f.eval, h, 0.0))
-        assert stages.stiffness() == pytest.approx(1.2, rel=1e-12)
+        attempt = dopri5_step(f, h, 0.0, -0.4, tg.vjp_node(f.eval, h, 0.0))
+        assert attempt.stiffness() == pytest.approx(1.2, rel=1e-12)
 
     def test_stiff_solve_ends_after_step_1000(self):
         cfg = SolverConfig(rtol=1e-4, atol=1e-4)
@@ -519,10 +522,10 @@ class TestStepController:
         f = Scalar()
         h = Tensor([1.0])
         k1 = tg.vjp_node(f.eval, h, 0.0)
-        h_next, err, stages = dopri5_step(f, h, 0.0, 0.1, k1)
-        assert stages.K.shape == (8, 1)
-        assert stages.K[0] == h.data and stages.K[1] == k1.data
-        assert np.allclose(stages.fsal().data, h_next.data)  # dh/dt = h
+        attempt = dopri5_step(f, h, 0.0, 0.1, k1)
+        assert attempt.K.shape == (8, 1)
+        assert attempt.K[0] == h.data and attempt.K[1] == k1.data
+        assert np.allclose(attempt.fsal().data, attempt.h_next.data)  # dh/dt = h
 
 
 class TestInitialStep:
@@ -596,9 +599,9 @@ EDGE_FLOATS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
 
 
 class TestFusedAttempt:
-    """dopri5_step is one tape node per attempt (Dopri5Stages); it must give
+    """Every method's attempt is one tape node (odeint.Attempt); it must give
     the values, NFE and gradients of the flat tape of lincomb and f.eval
-    nodes it replaced, which the tests keep as flat_dopri5_step."""
+    nodes it replaced, which the tests keep as reference.FLAT_STEPS."""
 
     @given(st.sampled_from([(), (1,), (1, 1), (3,), (1, 4), (5, 2), (2, 1, 3, 3)]),
            st.integers(1, 8), st.data())
@@ -618,15 +621,18 @@ class TestFusedAttempt:
         with np.errstate(all="ignore"):
             got = _stage_sum(c.reshape((n,) + (1,) * len(shape)), K,
                              _sum_plan(c), np.empty_like(K))
-            want = tg.lincomb(tuple(c), [Tensor._wrap(k) for k in K]).data
+            want = lincomb(tuple(c), [Tensor._wrap(k) for k in K]).data
         assert got.shape == want.shape
         assert bits(got).tolist() == bits(want).tolist()
 
     @staticmethod
-    def solve(step, spec, x0, t0, times, cfg, per_sample, loss_at, seed=4):
-        # a solve with this step in integrate's table, differentiated with
-        # respect to x0 and every parameter through the states in loss_at
-        odeint._STEPS["dopri5"] = step
+    def solve(flat, spec, x0, t0, times, cfg, per_sample, loss_at, seed=4):
+        # a solve with the method's attempt, or with its flat reference in
+        # integrate's table, differentiated with respect to x0 and every
+        # parameter through the states in loss_at
+        fused = odeint._STEPS[cfg.method]
+        if flat:
+            odeint._STEPS[cfg.method] = FLAT_STEPS[cfg.method]
         try:
             model = Model(spec, seed=seed)
             x = grad_leaf(x0)
@@ -635,10 +641,10 @@ class TestFusedAttempt:
                                 per_sample=per_sample)
                 picked = [sol.states[i] for i in loss_at]
                 weights = tuple(0.5 + i for i in range(len(picked)))
-                loss = tg.mse(tg.lincomb(weights, picked), np.zeros(x.size))
+                loss = tg.mse(lincomb(weights, picked), np.zeros(x.size))
             backward(g, loss)
         finally:
-            odeint._STEPS["dopri5"] = dopri5_step
+            odeint._STEPS[cfg.method] = fused
         counts = (sol.nfe, sol.steps_accepted, sol.steps_rejected)
         return counts, [s.data for s in sol.states] + [x.grad, model.params.grad], len(g)
 
@@ -676,10 +682,10 @@ class TestFusedAttempt:
         x0 = np.random.default_rng(3).standard_normal(shape)
         x0[:, spec.state_dim - spec.aug:] = 0.0
         cfg = SolverConfig(rtol=tol, atol=tol)
-        counts, got, nodes = self.solve(dopri5_step, spec, x0, t0, times, cfg,
+        counts, got, nodes = self.solve(False, spec, x0, t0, times, cfg,
                                         per_sample, loss_at)
-        ref_counts, want, _ = self.solve(flat_dopri5_step, spec, x0, t0, times,
-                                         cfg, per_sample, loss_at)
+        ref_counts, want, _ = self.solve(True, spec, x0, t0, times, cfg,
+                                         per_sample, loss_at)
         assert counts == ref_counts
         nfe, accepted, rejected = counts
         if "rejected" in request.node.callspec.id:
@@ -691,10 +697,56 @@ class TestFusedAttempt:
         dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
         assert nodes == accepted + rejected + accepted + dense + 1 + 2
 
-    @pytest.mark.parametrize("spec", [MLP, ANODE, CONV], ids=["node", "anode", "conv"])
-    def test_fit_matches_flat_tape(self, monkeypatch, spec):
-        # two epochs of cross-entropy training with dopri5 and a validation
-        # pass: records and trained parameters are identical
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("spec,shape,t0,times,loss_at", [
+        (MLP, (16, 2), 0.0, [1.0], [0]),
+        (ANODE, (8, 5), 0.0, [1.0], [0]),
+        (CONV, (3, 2, 4, 4), 0.0, [1.0], [0]),
+        # each output time ends a segment of its own steps; the start state
+        # is recorded too
+        (ANODE, (8, 5), 0.0, [0.0, 0.3, 0.7, 1.0], [0, 1, 2, 3]),
+        (CONV, (3, 2, 4, 4), 0.0, [0.5, 1.0], [0, 1]),
+        # backward in time, past t = 0
+        (MLP, (8, 2), 1.0, [0.35, -0.4], [0, 1]),
+        # batch 1, one-element state
+        (ModelSpec(kind="node", input_dim=1, hidden_dim=8), (1, 1), 0.0,
+         [0.5, 1.0], [0, 1]),
+    ], ids=["node", "anode", "conv", "anode-segments", "conv-segments",
+            "backward-in-time", "batch1-1d"])
+    def test_fixed_step_matches_flat_tape(self, method, spec, shape, t0, times,
+                                          loss_at):
+        x0 = np.random.default_rng(3).standard_normal(shape)
+        x0[:, spec.state_dim - spec.aug:] = 0.0
+        cfg = SolverConfig(method=method, fixed_step=0.15)
+        counts, got, nodes = self.solve(False, spec, x0, t0, times, cfg, False,
+                                        loss_at)
+        ref_counts, want, ref_nodes = self.solve(True, spec, x0, t0, times, cfg,
+                                                 False, loss_at)
+        assert counts == ref_counts
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and bits(a).tolist() == bits(b).tolist()
+        nfe, accepted, rejected = counts
+        s = {"euler": 1, "rk4": 4}[method]
+        assert rejected == 0 and nfe == s * accepted
+        # the loop's k1 and the attempt on each step, then the loss's two;
+        # the flat tape had k1, s - 1 stage sums and evaluations and h_next
+        assert nodes == 2 * accepted + 2
+        assert ref_nodes == 2 * s * accepted + 2
+
+    def test_rk4_step_is_two_nodes(self):
+        # a taped 4-step RK4 solve: k1's node and the attempt's per step
+        # (the flat tape recorded 8 per step)
+        cfg = SolverConfig(method="rk4", fixed_step=0.25)
+        with CompGraph() as g:
+            sol = integrate(Scalar(0.7), Tensor([[1.0]]), 0.0, [1.0], cfg)
+        assert sol.steps_accepted == 4 and sol.nfe == 16 and len(g) == 8
+
+    @pytest.mark.parametrize("spec,method", [(MLP, "dopri5"), (ANODE, "dopri5"),
+                                             (CONV, "dopri5"), (CONV, "rk4")],
+                             ids=["node", "anode", "conv", "conv-rk4"])
+    def test_fit_matches_flat_tape(self, monkeypatch, spec, method):
+        # two epochs of cross-entropy training and a validation pass:
+        # records and trained parameters are identical
         rng = np.random.default_rng(5)
         shape = (24, 1, 4, 4) if spec.conv else (24, spec.input_dim)
         train_set = LabeledSet(rng.standard_normal(shape), rng.integers(0, 2, 24))
@@ -702,10 +754,11 @@ class TestFusedAttempt:
                              rng.integers(0, 2, 8))
         spec = ModelSpec(kind=spec.kind, input_dim=spec.input_dim, p=spec.p,
                          hidden_dim=spec.hidden_dim, output_dim=2, conv=spec.conv)
-        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-2)
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-2,
+                          solver=SolverConfig(method=method, fixed_step=0.25))
         runs = []
-        for step in (dopri5_step, flat_dopri5_step):
-            monkeypatch.setitem(odeint._STEPS, "dopri5", step)
+        for step in (odeint._STEPS[method], FLAT_STEPS[method]):
+            monkeypatch.setitem(odeint._STEPS, method, step)
             model = Model(spec, seed=2)
             runs.append((fit(model, train_set, val_set, cfg), model))
         (fused, model), (ref, ref_model) = runs
@@ -719,13 +772,13 @@ class TestFusedAttempt:
         with CompGraph() as g:
             with tg.no_grad():
                 k1 = tg.vjp_node(f.eval, h, 0.0)
-                h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, k1)
-                stages.dense(np.full(7, 0.01))
-                stages.fsal()
-        assert len(g) == 0 and stages.vjps is None
+                attempt = dopri5_step(f, h, 0.0, 0.1, k1)
+                attempt.dense(np.full(7, 0.01))
+                attempt.fsal()
+        assert len(g) == 0 and attempt.vjps is None
         with CompGraph() as g:
             k1 = tg.vjp_node(f.eval, h, 0.0)
-            h_next, _, stages = dopri5_step(f, h, 0.0, 0.1, k1)
+            attempt = dopri5_step(f, h, 0.0, 0.1, k1)
         # the first k1's node, then the attempt's; the attempt keeps the
         # six evaluations' vjps
-        assert len(g) == 2 and h_next._id == 1 and len(stages.vjps) == 6
+        assert len(g) == 2 and attempt.h_next._id == 1 and len(attempt.vjps) == 6

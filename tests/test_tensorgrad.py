@@ -10,13 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from anodelab import tensorgrad as tg
 from anodelab.data import LabeledSet
-from anodelab.models import ConvDynamics, MlpDynamics, Model, ModelSpec
+from anodelab.models import ConvDynamics, Model, ModelSpec
 from anodelab.train import TrainConfig, fit
 from anodelab.tensorgrad import (CompGraph, GraphError, ParamSet, ShapeError,
                                  Tensor, backward, grad_check)
 import reference
-from reference import (UnfusedConvDynamics, add, concat, grad_leaf, matmul,
-                       relu, unfused_convnet, unfused_mlp)
+from reference import (UnfusedConvDynamics, add, concat, grad_leaf, lincomb,
+                       matmul, relu, unfused_convnet, unfused_mlp)
 
 
 def convnet_node(x, t, layers):
@@ -96,16 +96,16 @@ class TestForward:
         ts = [Tensor(np.full(3, float(i + 1))) for i in range(4)]
         cs = [0.5, -1.0, 0.0, 2.0]
         with CompGraph() as g:
-            out = tg.lincomb(cs, ts)
+            out = lincomb(cs, ts)
         manual = sum(c * t.data for c, t in zip(cs, ts))
         assert np.allclose(out.data, manual)
         assert len(g) == 1
 
     def test_lincomb_shape_errors(self):
         with pytest.raises(ShapeError):
-            tg.lincomb([1.0], [Tensor([1.0]), Tensor([2.0])])
+            lincomb([1.0], [Tensor([1.0]), Tensor([2.0])])
         with pytest.raises(ShapeError):
-            tg.lincomb([1.0, 1.0], [Tensor([1.0]), Tensor([[2.0]])])
+            lincomb([1.0, 1.0], [Tensor([1.0]), Tensor([[2.0]])])
 
 
 class TestBackward:
@@ -182,7 +182,7 @@ class TestBackward:
         with CompGraph() as g1:
             loss = tg.mse(a, np.zeros(2))  # mean(a^2) -> grad a
         with CompGraph():
-            tg.lincomb((2.0,), (loss,))
+            lincomb((2.0,), (loss,))
         backward(g1, loss)
         assert np.array_equal(a.grad, [2.0, 3.0])
 
@@ -203,7 +203,7 @@ class TestBackward:
             with CompGraph() as g:
                 f = tg.mse(a, np.zeros(3))
                 h = tg.mse(a, bv)
-                loss = tg.lincomb((w1, w2), (f, h))
+                loss = lincomb((w1, w2), (f, h))
             backward(g, loss)
             return a.grad.copy()
 
@@ -309,8 +309,8 @@ class TestMlp:
         # at least one more (B, hidden) array: the np.where rule peaked at
         # 2191 KiB here, against a bound of 1302 KiB
         n, d, hidden = 2000, 3, 32
-        params = ParamSet()
-        dyn = MlpDynamics.init(params, np.random.default_rng(0), d, hidden)
+        dyn = Model(ModelSpec(input_dim=d, hidden_dim=hidden, output_dim=d,
+                              head="identity")).dynamics
         h = np.random.default_rng(1).standard_normal((n, d))
         with tg.no_grad():
             dyn.eval(h, 0.5)
@@ -330,8 +330,8 @@ class TestMlp:
         assert peak <= bound, (peak, bound)
 
     def test_dynamics_eval_records_one_node(self):
-        params = ParamSet()
-        dyn = MlpDynamics.init(params, np.random.default_rng(0), 2, 8)
+        dyn = Model(ModelSpec(input_dim=2, hidden_dim=8, output_dim=2,
+                              head="identity")).dynamics
         h = Tensor(np.ones((4, 2)))
         with CompGraph() as g:
             tg.vjp_node(dyn.eval, h, 0.5)
@@ -367,7 +367,7 @@ class TestConvnet:
             with CompGraph() as g:
                 h = fn(x, 0.37, layers)
                 y = fn(h, 0.61, layers)
-                loss = tg.mse(tg.lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
+                loss = tg.mse(lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
             backward(g, loss)
             return [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
 
@@ -525,7 +525,7 @@ class TestConvnet:
             with CompGraph() as g:
                 h = fn(x, t, layers)
                 y = fn(h, 0.61, layers)
-                loss = tg.mse(tg.lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
+                loss = tg.mse(lincomb((1.0, 0.5), (y, h)), np.zeros(y.size))
             backward(g, loss)
             return layers, [h.data, y.data, x.grad] + [p.grad for _, p in params.items()]
 
