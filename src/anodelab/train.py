@@ -6,12 +6,16 @@ are running means over that epoch's minibatches, so row 0 already reflects
 the nearly-untrained model and NFE growth can be read directly off the log.
 Training has one failure protocol: the first solver step limit, divergence,
 non-finite gradient or failed allocation ends the fit, and the partial
-record names where it happened.  Every fit is a FitJob, run by run_fits.
+record names where it happened.  Every fit is a FitJob, run by run_fits,
+which runs a list of jobs on up to one process per available core.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -228,14 +232,92 @@ class FitJob:
     snapshot_every: int = 0
 
 
-def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
-    """Each job's record and trained parameter buffer, in job order.  A fit
-    reads nothing but its job, so no result depends on another job."""
+def _run_lane(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
     results = []
     for job in jobs:
         model = Model(job.spec, data=job.init)
         record = fit(model, job.train_set, job.val_set, job.cfg, job.snapshot_every)
         results.append((record, model.params.data))
+    return results
+
+
+# a worker lane's program: its jobs arrive pickled on stdin, and its results,
+# or the exception that stopped them and its traceback, leave pickled on stdout
+_WORKER = ("import sys; sys.path.insert(0, {src!r}); "
+           "from anodelab.train import _serve_lane; _serve_lane({parent})")
+
+
+def _serve_lane(parent: int) -> None:
+    import ctypes
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
+    if sys.platform == "linux":  # die with the parent, even if it is killed
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
+    out, sys.stdout = sys.stdout.buffer, sys.stderr  # keep prints out of it
+    jobs = pickle.load(sys.stdin.buffer)
+    try:
+        outcome = _run_lane(jobs)
+    except Exception as exc:  # raised again in the parent, with this traceback
+        import traceback
+        outcome = (exc, traceback.format_exc())
+    pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
+
+
+def _lane_outcome(lane: int, status: int, out: bytes) -> list:
+    if status != 0 or not out:
+        import signal
+        how = f", {signal.strsignal(-status)}" if status < 0 else ""
+        raise ChildProcessError(f"fit worker {lane} ended without a result "
+                                f"(exit status {status}{how})")
+    outcome = pickle.loads(out)
+    if isinstance(outcome, tuple):
+        exc, trace = outcome
+        raise exc from ChildProcessError(f"raised in fit worker {lane}:\n{trace}")
+    return outcome
+
+
+def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
+    """Each job's record and trained parameter buffer, in job order.  A fit
+    reads nothing but its job, so no result depends on another job or on
+    the process that ran it.
+
+    The jobs run in min(available cores, jobs) lanes.  This process is lane
+    0 and runs jobs[0::lanes]; lane k >= 1 is a fresh worker process, with
+    one BLAS thread, that runs jobs[k::lanes].  An exception that stops a
+    worker is raised here as it was raised there; a worker that ends without
+    a result raises ChildProcessError.  No worker outlives this call."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = min(cores, len(jobs))
+    if lanes <= 1:
+        return _run_lane(jobs)
+    import subprocess
+    import tempfile
+    code = _WORKER.format(src=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          parent=os.getpid())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    workers = []
+    try:
+        for lane in range(1, lanes):
+            with tempfile.TemporaryFile() as fh:  # no pipe for the parent to block on
+                pickle.dump(jobs[lane::lanes], fh, pickle.HIGHEST_PROTOCOL)
+                fh.seek(0)
+                workers.append(subprocess.Popen([sys.executable, "-c", code], env=env,
+                                                stdin=fh, stdout=subprocess.PIPE))
+        lane_results = [_run_lane(jobs[0::lanes])]
+        for lane, proc in enumerate(workers, 1):
+            out, _ = proc.communicate()
+            lane_results.append(_lane_outcome(lane, proc.returncode, out))
+    finally:
+        for proc in workers:
+            with proc:  # closes its pipe and reaps it
+                proc.kill()
+    results = [None] * len(jobs)
+    for lane, done in enumerate(lane_results):
+        results[lane::lanes] = done
     return results
 
 

@@ -20,7 +20,7 @@ from anodelab.models import (Model, ModelSpec, features, invert_features,
                              match_conv_filters, node_forward, param_count)
 from anodelab.odeint import SolverConfig, integrate
 from anodelab.tensorgrad import ParamSet, Tensor, grad_check
-from anodelab.train import TrainConfig, fit, grid_search
+from anodelab.train import FitJob, TrainConfig, fit, grid_search, run_fits
 from reference import add, lincomb, taped
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -46,43 +46,47 @@ def _g1d_spec(kind: str) -> ModelSpec:
                      resnet_layers=5, head="identity")
 
 
+def _trained(kinds, jobs):
+    """kind -> (trained model, record) per seed, from jobs listed kind by
+    kind and seed by seed, all run by the one fit runner."""
+    runs = []
+    for job, (rec, params) in zip(jobs, run_fits(jobs)):
+        assert rec.error is None, rec.error
+        assert rec.epochs[-1].wall_ms < 120e3  # each fit within 120 s
+        runs.append((Model(job.spec, data=params), rec))
+    return {kind: runs[i * len(SEEDS):(i + 1) * len(SEEDS)]
+            for i, kind in enumerate(kinds)}
+
+
 @pytest.fixture(scope="module")
 def g1d_runs():
     """anode / node / resnet trained on the 1-d crossing task, 5 seeds each."""
-    runs = {}
-    for kind in ("anode", "node", "resnet"):
-        lr = 1e-2 if kind == "resnet" else 1e-3
-        runs[kind] = []
-        for seed in SEEDS:
-            t0 = time.perf_counter()
-            model = Model(_g1d_spec(kind), seed=seed)
-            cfg = TrainConfig(lr=lr, batch_size=64, epochs=50, seed=seed,
-                              solver=SOLVER)
-            rec = fit(model, gen_g1d(64, seed=seed), None, cfg)
-            assert rec.error is None, rec.error
-            assert time.perf_counter() - t0 < 120.0
-            runs[kind].append((model, rec))
-    return runs
+    kinds = ("anode", "node", "resnet")
+    jobs = [FitJob(_g1d_spec(kind), Model(_g1d_spec(kind), seed=seed).params.data,
+                   TrainConfig(lr=1e-2 if kind == "resnet" else 1e-3,
+                               batch_size=64, epochs=50, seed=seed, solver=SOLVER),
+                   gen_g1d(64, seed=seed))
+            for kind in kinds for seed in SEEDS]
+    return _trained(kinds, jobs)
 
 
 @pytest.fixture(scope="module")
 def concentric_runs():
     """node / anode on d=2 concentric data with the [0, pi/5] slice held
     out, 5 seeds each."""
-    runs = {"node": [], "anode": []}
-    for kind in runs:
-        p = 5 if kind == "anode" else 0
+    kinds = ("node", "anode")
+    jobs = []
+    for kind in kinds:
         for seed in SEEDS:
             ds = gen_concentric(SphereAnnulusConfig(d=2, seed=seed))
             train_set, val_set = angular_split(ds, 0.0, np.pi / 5)
-            model = Model(ModelSpec(kind=kind, input_dim=2, p=p,
-                                    hidden_dim=32, output_dim=1), seed=seed)
+            spec = ModelSpec(kind=kind, input_dim=2, p=5 if kind == "anode" else 0,
+                             hidden_dim=32, output_dim=1)
             cfg = TrainConfig(lr=1e-3, batch_size=64, epochs=20, seed=seed,
                               solver=SOLVER)
-            rec = fit(model, train_set, val_set, cfg)
-            assert rec.error is None, rec.error
-            runs[kind].append((model, rec))
-    return runs
+            jobs.append(FitJob(spec, Model(spec, seed=seed).params.data, cfg,
+                               train_set, val_set))
+    return _trained(kinds, jobs)
 
 
 # ---------------------------------------------------------------- criteria

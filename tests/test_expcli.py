@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import runpy
+import shutil
 import struct
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import anodelab
 import anodelab.expcli as cli
 from anodelab import svg
 from anodelab.data import LabeledSet, load_idx, write_idx
@@ -442,8 +444,9 @@ class TestGeneralizationCommand:
         assert not (out / "node_heatgrid.csv").exists()
         assert (out / "node_train.csv").exists()
 
-    def test_validation_failure_is_a_training_failure(self, tmp_path,
-                                                      monkeypatch, capsys):
+    def test_validation_failure_is_a_training_failure(self, tmp_path, monkeypatch,
+                                                      one_lane, capsys):
+        # one lane: the patched evaluate must reach both fits
         def failing_evaluate(*args):
             raise StepLimitError("dopri5: step limit 7 reached", 7)
 
@@ -460,9 +463,11 @@ class TestGeneralizationCommand:
             assert (out / f"{kind}.ckpt").exists()
 
     def test_training_failure_reported_when_heat_grid_fails(self, tmp_path,
-                                                            monkeypatch, capsys):
+                                                            monkeypatch, one_lane,
+                                                            capsys):
         """node's fit fails, so its heat grid is skipped; anode's heat grid
-        then raises, and node's training failure still reaches stderr."""
+        then raises, and node's training failure still reaches stderr.  One
+        lane: the patched fit must run in this process."""
         fit = cli.trn.fit
 
         def node_fit_fails(model, *args, **kwargs):
@@ -487,6 +492,35 @@ class TestGeneralizationCommand:
             assert (out / f"{kind}_train.csv").exists()
             assert not (out / f"{kind}_heatgrid.csv").exists()
 
+    def test_both_fits_fail_in_two_lanes(self, tmp_path, lanes, workers, capsys):
+        """Both fits fail through their inputs, node in this process and
+        anode in the worker: both failures are reported and both fits'
+        records and checkpoints written."""
+        lanes(2)
+        out = tmp_path / "gen"
+        assert run(["generalization", "--lr", "1e3", "--epochs", "1",
+                    "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err.splitlines()
+        assert [line.partition(":")[0] for line in err] == ["node", "anode"]
+        assert all(": training failed: " in line for line in err)
+        assert [proc.returncode for proc in workers] == [0]
+        for kind in ("node", "anode"):
+            assert (out / f"{kind}_train.csv").exists()
+            assert (out / f"{kind}.ckpt").exists()
+
+
+def write_synthetic_idx(data: Path) -> None:
+    """MNIST's four IDX files with 40 training and 16 test 8x8 images of two
+    classes: class 1 bright in the center, class 0 bright at the border."""
+    rng = np.random.default_rng(0)
+    for i, n in ((0, 40), (2, 16)):
+        labels = rng.integers(0, 2, size=n).astype(np.uint8)
+        images = np.zeros((n, 8, 8), dtype=np.uint8)
+        images[labels == 1, 2:6, 2:6] = 200
+        images[labels == 0, :, 0:2] = 200
+        images += rng.integers(0, 30, size=images.shape, dtype=np.uint8)
+        write_idx(data / MNIST_FILES[i], data / MNIST_FILES[i + 1], images, labels)
+
 
 class TestMnistMiniCommand:
     def test_missing_data_exit_4_with_instructions(self, tmp_path, capsys):
@@ -499,19 +533,7 @@ class TestMnistMiniCommand:
     def test_synthetic_idx_end_to_end(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
-        rng = np.random.default_rng(0)
-
-        def make(n, ip, lp):
-            labels = rng.integers(0, 2, size=n).astype(np.uint8)
-            images = np.zeros((n, 8, 8), dtype=np.uint8)
-            # class 1 bright in the center, class 0 bright at the border
-            images[labels == 1, 2:6, 2:6] = 200
-            images[labels == 0, :, 0:2] = 200
-            images += rng.integers(0, 30, size=images.shape, dtype=np.uint8)
-            write_idx(data / ip, data / lp, images, labels)
-
-        make(40, "train-images-idx3-ubyte", "train-labels-idx1-ubyte")
-        make(16, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+        write_synthetic_idx(data)
         out = tmp_path / "out"
         code = run(["mnist-mini", "--data-dir", str(data), "--out", str(out),
                     "--epochs", "1", "--batch", "16",
@@ -1083,3 +1105,68 @@ class TestReaderFuzz:
         path.write_bytes(raw)
         cfg = self._read(parse_config_file, path)
         assert cfg is None or isinstance(cfg, dict)
+
+
+class TestLanes:
+    """A command's fits run in min(cores, fits) lanes: this process and a
+    worker process per further lane."""
+
+    @staticmethod
+    def artifacts(out: Path) -> dict[str, bytes]:
+        """Every file under out, with each _train.csv's last column, the
+        wall-clock wall_ms, cut."""
+        files = {}
+        for p in sorted(out.rglob("*")):
+            if p.is_file():
+                data = p.read_bytes()
+                if p.name.endswith("_train.csv"):
+                    data = b"\n".join(line.rpartition(b",")[0]
+                                      for line in data.splitlines())
+                files[p.relative_to(out).as_posix()] = data
+        return files
+
+    @pytest.mark.parametrize("name, argv", [
+        ("generalization", ["--epochs", "2", "--hidden", "4", "--aug", "2"]),
+        ("mnist-mini", ["--epochs", "1", "--batch", "16", "--filters", "4",
+                        "--aug", "1", "--train-limit", "40", "--test-limit", "16"]),
+        ("sweep", ["--epochs", "1", "--n-inner", "10", "--n-outer", "20",
+                   "--cv-folds", "2"])],
+        ids=["generalization", "mnist-mini", "sweep"])
+    def test_artifacts_do_not_depend_on_the_lanes(self, tmp_path, monkeypatch,
+                                                  lanes, workers, capsys,
+                                                  name, argv):
+        """One lane and two write the same bytes and print the same lines,
+        and the worker runs the package this process imported."""
+        if name == "mnist-mini":
+            write_synthetic_idx(tmp_path)
+            argv = argv + ["--data-dir", str(tmp_path)]
+        imported = tmp_path / "imported"
+        monkeypatch.setattr(cli.trn, "_WORKER", cli.trn._WORKER + (
+            f"; import anodelab; open({str(imported)!r}, 'a')"
+            ".write(anodelab.__file__ + '\\n')"))
+        out = tmp_path / "out"
+        runs = []
+        for n in (1, 2):
+            lanes(n)
+            assert run([name, *argv, "--svg", "--out", str(out)]) == EXIT_OK
+            runs.append((capsys.readouterr(), self.artifacts(out)))
+            shutil.rmtree(out)
+        (io, files), (io2, files2) = runs
+        assert io2 == io and io.err == ""
+        assert files2.keys() == files.keys() and "manifest.json" in files
+        for path, data in files.items():
+            assert files2[path] == data, path
+        assert [proc.returncode for proc in workers] == [0]
+        assert imported.read_text() == anodelab.__file__ + "\n"
+
+    def test_dead_worker_is_an_io_error(self, tmp_path, monkeypatch, lanes,
+                                        workers, capsys):
+        lanes(2)
+        monkeypatch.setattr(cli.trn, "_WORKER",
+                            "import os, signal; os.kill(os.getpid(), signal.SIGKILL)")
+        assert run(["generalization", "--epochs", "1", "--hidden", "1",
+                    "--out", str(tmp_path / "gen")]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "I/O error: fit worker 1 ended without a result "
+            "(exit status -9, Killed)\n")
+        workers.assert_none_left()

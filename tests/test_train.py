@@ -2,7 +2,13 @@
 the fit-job runner, and grid search."""
 
 import gc
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -545,6 +551,132 @@ class TestRunFits:
         assert all(np.array_equal(job.init, init) for job, init in zip(jobs, inits))
 
 
+class Dies:
+    """Unpickles, in the worker that reads its job, as a call that ends it."""
+
+    def __init__(self, *call):
+        self.call = call
+
+    def __reduce__(self):
+        return self.call
+
+
+class TestLanes:
+    """run_fits in more than one lane: this process runs jobs[0::lanes] and
+    each worker process jobs[k::lanes]."""
+
+    @staticmethod
+    def job(epochs=2, train_set=None):
+        spec = ModelSpec(kind="node", input_dim=1, hidden_dim=4)
+        return FitJob(spec, Model(spec, seed=0).params.data, fast_cfg(epochs=epochs),
+                      tiny_dataset() if train_set is None else train_set)
+
+    def test_results_do_not_depend_on_the_lanes(self, lanes, workers):
+        jobs = TestRunFits.jobs()
+        outcomes = []
+        for n in (1, 2, 3):
+            lanes(n)
+            outcomes.append(TestRunFits.outcome(run_fits(jobs)))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        # no worker with one lane, then one, then two
+        assert [proc.returncode for proc in workers] == [0, 0, 0]
+        workers.assert_none_left()
+
+    def test_worker_exception_is_raised_as_raised(self, lanes, workers):
+        lanes(2)
+        empty = LabeledSet(np.zeros((0, 1)), np.zeros(0))
+        with pytest.raises(ValueError) as info:
+            run_fits([self.job(), self.job(train_set=empty)])  # job 1: the worker's
+        assert type(info.value) is ValueError
+        assert str(info.value) == "training set is empty"
+        cause = str(info.value.__cause__)  # the worker's traceback
+        assert cause.startswith("raised in fit worker 1:\nTraceback")
+        assert cause.endswith("ValueError: training set is empty\n")
+        assert len(workers) == 1
+        workers.assert_none_left()
+
+    @pytest.mark.parametrize("call, status", [
+        ((os._exit, (7,)), "exit status 7"),
+        ((signal.raise_signal, (signal.SIGKILL,)), "exit status -9, Killed")],
+        ids=["exit-7", "SIGKILL"])
+    def test_worker_without_a_result(self, lanes, workers, call, status):
+        lanes(2)
+        jobs = [self.job(), self.job(train_set=Dies(*call))]
+        with pytest.raises(ChildProcessError) as info:
+            run_fits(jobs)
+        assert str(info.value) == f"fit worker 1 ended without a result ({status})"
+        workers.assert_none_left()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("lane 0 failed"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_lane_0_failure_kills_the_workers(self, monkeypatch, lanes, workers, exc):
+        lanes(2)
+
+        def failing_fit(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(trn, "fit", failing_fit)
+        t0 = time.perf_counter()
+        with pytest.raises(type(exc)):  # the worker's fit would run for minutes
+            run_fits([self.job(), self.job(epochs=100_000)])
+        assert time.perf_counter() - t0 < 30.0
+        [proc] = workers
+        assert proc.returncode == -signal.SIGKILL
+        workers.assert_none_left()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
+    def test_worker_dies_with_a_killed_parent(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trn.__file__)))
+        script = textwrap.dedent(f"""
+            import os, subprocess, sys
+            sys.path.insert(0, {src!r})
+            from anodelab import train as trn
+            from anodelab.data import gen_g1d
+            from anodelab.models import Model, ModelSpec
+            from anodelab.odeint import SolverConfig
+
+            class Announced(subprocess.Popen):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    print(self.pid, flush=True)
+
+            subprocess.Popen = Announced
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            spec = ModelSpec(kind="node", input_dim=1, hidden_dim=4)
+            cfg = trn.TrainConfig(epochs=100_000, batch_size=16, solver=SolverConfig(
+                method="rk4", fixed_step=0.25))
+            job = trn.FitJob(spec, Model(spec, seed=0).params.data, cfg, gen_g1d(16))
+            trn.run_fits([job, job])
+            """)
+
+        def has_read_its_jobs(pid):  # so it is past its own check of the parent
+            with open(f"/proc/{pid}/fdinfo/0") as fh:
+                return int(fh.readline().split()[1]) > 0
+
+        def alive(pid):  # an unreaped zombie has ended too
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE)
+        try:
+            worker = int(parent.stdout.readline())
+            deadline = time.monotonic() + 20.0
+            while not has_read_its_jobs(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert has_read_its_jobs(worker)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        deadline = time.monotonic() + 20.0
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(worker)
+
+
 class TestGridSearch:
     @staticmethod
     def _spec(cell):
@@ -586,7 +718,9 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("exc", [StepLimitError("step limit", 7),
                                      DivergenceError("non-finite state")])
-    def test_solver_failure_in_validation_marks_cell(self, monkeypatch, exc):
+    def test_solver_failure_in_validation_marks_cell(self, monkeypatch, one_lane,
+                                                     exc):
+        # one lane: the patched evaluate must reach every fold's fit
         def failing_evaluate(*args):
             raise exc
 
