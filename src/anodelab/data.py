@@ -37,6 +37,8 @@ class LabeledSet:
 
 # the paper's radii: inner ball ||x|| <= R1, annulus R2 <= ||x|| <= R3
 R1, R2, R3 = 0.5, 1.0, 1.5
+# the largest d whose R3 ** d (_uniform_ball's r_hi ** d) is a finite float
+D_MAX = int(math.log(np.finfo(float).max, R3))
 
 
 @dataclass
@@ -50,6 +52,8 @@ class SphereAnnulusConfig:
         if self.d < 1 or min(self.n_inner, self.n_outer) < 0:
             raise ValueError(f"need d >= 1 and n_inner, n_outer >= 0, got "
                              f"{self.d}, {self.n_inner}, {self.n_outer}")
+        if self.d > D_MAX:
+            raise ValueError(f"d = {self.d} exceeds {D_MAX}: {R3} ** d overflows")
 
 
 def gen_g1d(n_per_class: int, seed: int = 0) -> LabeledSet:

@@ -6,8 +6,8 @@ Each command's plan checks its config, loads its input files and builds
 every object the run uses, its fit jobs included; only then is the
 experiment manifest written, the jobs are run, and the fits and the plan's
 writer write CSV artifacts (always) and SVG plots (with --svg).  Exit codes:
-0 success, 2 config error, 3 training or solver failure, 4 I/O error or
-malformed input file.
+0 success, 2 config error, 3 training, solver or memory failure, 4 I/O error
+or malformed input file.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ def write_manifest(out_dir: Path, name: str, cfg: dict, seeds: list[int]) -> dic
 def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
                       want_svg: bool) -> None:
     write_csv(out_dir / f"{stem}_train.csv", trn.TrainRecord.CSV_HEADER,
-              ((e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
-                e.nfe_forward_mean, e.wall_ms) for e in record.epochs))
+              record.rows())
     if want_svg:
         ep = record.metric("epoch")
         svg.line_plot(out_dir / f"{stem}_loss.svg",
@@ -544,12 +543,14 @@ def run_command(name: str, args: argparse.Namespace) -> int:
 
 
 # exception -> (exit code, label); the first matching row wins, so
-# IdxFormatError (a ValueError raised for a malformed file) precedes ValueError
+# IdxFormatError (a ValueError raised for a malformed file) precedes ValueError;
+# a MemoryError here came after the manifest (run_command converts the plan's)
 EXIT_CODES = {dat.IdxFormatError: (EXIT_IO, "I/O error"),
               ValueError: (EXIT_CONFIG, "config error"),
               OSError: (EXIT_IO, "I/O error"),
               StepLimitError: (EXIT_TRAINING, "solver failure"),
-              DivergenceError: (EXIT_TRAINING, "solver failure")}
+              DivergenceError: (EXIT_TRAINING, "solver failure"),
+              MemoryError: (EXIT_TRAINING, "out of memory")}
 
 
 def main(argv=None) -> int:

@@ -47,7 +47,8 @@ MAX_FACTOR = 10.0
 # and of Hairer's stiffness test on every accepted dopri5 step from the
 # STIFF_EVERY-th on (integrate): STIFF_STEPS steps with h*lambda above
 # STIFF_BOUND end the solve, NONSTIFF_STEPS in a row at or below it reset
-# the count
+# the count.  Hairer's DOPRI5 code tests only each 1000th step while the
+# count is zero, so there a solve that had just reset it ran 1000 steps more
 STIFF_EVERY = 1000
 STIFF_BOUND = 3.25
 STIFF_STEPS = 15
@@ -297,11 +298,12 @@ def error_norm(err: np.ndarray, h: np.ndarray, h_next: np.ndarray,
     """Mixed absolute/relative RMS norm of the local error estimate.
 
     Each entry is scaled by atol + rtol * max(|h|, |h_next|).  By default the
-    RMS runs over every entry of the state, so only the batch's average error
-    is held to tolerance and one sample's RMS may exceed it by up to
-    sqrt(batch size).  With per_sample the RMS runs over the non-leading axes
-    of each sample and the worst sample's RMS is returned, so every sample's
-    error is held to tolerance.  A state with ndim <= 1 is one sample.
+    RMS runs over every entry of the state, as in torchdiffeq, so only the
+    batch's average error is held to tolerance and one sample's RMS may
+    exceed it by up to sqrt(batch size).  With per_sample the RMS runs over
+    the non-leading axes of each sample and the worst sample's RMS is
+    returned, so every sample's error is held to tolerance.  A state with
+    ndim <= 1 is one sample.
     """
     if np.ndim(h) == 0:  # the temporary below must be an array
         err, h, h_next = np.reshape(err, 1), np.reshape(h, 1), np.reshape(h_next, 1)

@@ -71,10 +71,14 @@ class TrainRecord:
 
     CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,nfe_forward_mean,wall_ms"
 
+    def rows(self) -> list[tuple]:
+        """One row per epoch: the EpochStats fields CSV_HEADER names, in order."""
+        names = self.CSV_HEADER.split(",")
+        return [tuple(getattr(e, name) for name in names) for e in self.epochs]
+
     def deterministic_rows(self) -> list[tuple]:
-        """Epoch rows without wall_ms, which is the one nondeterministic field."""
-        return [(e.epoch, e.train_loss, e.train_acc, e.val_loss, e.val_acc,
-                 e.nfe_forward_mean) for e in self.epochs]
+        """rows() without wall_ms, the last and only nondeterministic field."""
+        return [row[:-1] for row in self.rows()]
 
     def metric(self, name: str) -> np.ndarray:
         vals = [getattr(e, name) for e in self.epochs]

@@ -51,15 +51,18 @@ class TestConcentric:
         assert np.all((R2 - 1e-12 <= r[200:]) & (r[200:] <= R3 + 1e-12))
         assert np.all(ds.targets[:200] == -1.0) and np.all(ds.targets[200:] == 1.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 1750])  # 1750: largest finite R3 ** d
     def test_dimensions(self, d):
         ds = gen_concentric(SphereAnnulusConfig(d=d, n_inner=20, n_outer=20))
         assert ds.inputs.shape == (40, d)
+        assert np.isfinite(ds.inputs).all()
 
     def test_dimension_and_counts_validated(self):
         for bad in ({"d": 0}, {"n_inner": -1}, {"n_outer": -1}):
             with pytest.raises(ValueError, match="n_inner, n_outer >= 0"):
                 SphereAnnulusConfig(**bad)
+        with pytest.raises(ValueError, match="d = 1751 exceeds 1750"):
+            SphereAnnulusConfig(d=1751)  # R3 ** d overflows
 
 
 class TestAngularSplit:

@@ -239,6 +239,39 @@ class TestParser:
         assert exc.value.code == 2
 
 
+class TestReadmeContract:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_flag_table_is_the_parser(self):
+        """The README's flag table has a column per command, in COMMANDS
+        order, and a row per flag: each cell is the default of the flag that
+        build_parser generates for the command, or — where it has none."""
+        lines = self.README.read_text().splitlines()
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("| flag |"))
+        header = [c.strip() for c in lines[start].strip("|").split("|")]
+        assert header[1:-1] == list(COMMANDS)
+        table = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            table[cells[0]] = dict(zip(header[1:-1], cells[1:-1]))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        expected = {}
+        for name, cmd in COMMANDS.items():
+            for a in sub.choices[name]._actions:
+                if a.option_strings and a.dest != "help":
+                    default = cmd.defaults.get(a.dest, a.default)
+                    row = expected.setdefault(f"`{a.option_strings[0]}`",
+                                              dict.fromkeys(COMMANDS, "—"))
+                    row[name] = f"`{default}`" if default != "" else '`""`'
+        assert table == expected
+
+    def test_train_csv_header_is_quoted(self):
+        assert cli.trn.TrainRecord.CSV_HEADER in self.README.read_text()
+
+
 class TestScripts:
     def test_every_wrapper_argv_parses(self, monkeypatch):
         """The scripts/ wrappers pass main argv lists that the parser takes."""
@@ -829,6 +862,20 @@ class TestExportFlowsCommand:
         assert "flows of image (conv) models are unsupported" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_after_the_manifest_exit_3(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def no_memory(*a, **kw):
+            raise MemoryError("Unable to allocate 1.19 GiB")
+
+        ckpt = self._checkpoint(tmp_path, ModelSpec(kind="anode", input_dim=2,
+                                                    p=1, hidden_dim=8))
+        monkeypatch.setattr(cli.mdl, "flow_trajectory", no_memory)
+        out = tmp_path / "flows"
+        assert run(["export-flows", "--checkpoint", str(ckpt),
+                    "--out", str(out)]) == EXIT_TRAINING
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 1.19 GiB\n"
+        assert (out / "manifest.json").exists() and not (out / "flow.csv").exists()
+
 
 class TestSolverFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -977,7 +1024,8 @@ class TestManifestFirst:
         ["sweep", "--n-inner", "2", "--n-outer", "2", "--cv-folds", "5"],
         ["toy", "--solver-rtol", "nan"], ["toy", "--lr", "nan"],
         ["toy", "--lr", "inf"], ["toy", "--wd", "nan"],
-        ["toy", "--solver-rtol", "inf"], ["toy", "--solver-atol", "inf"]])
+        ["toy", "--solver-rtol", "inf"], ["toy", "--solver-atol", "inf"],
+        ["sweep", "--dim", "1751"]])
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
