@@ -6,8 +6,10 @@ attempt is one Attempt, all run by one integration loop (integrate) over
 dynamics that evaluate on arrays (Dynamics).  All state arithmetic is
 recorded on the active CompGraph, so backward() differentiates through the
 solver (discretize-then-optimize): each attempt is one node, and so is each
-first stage k1 that the loop evaluates.  Step-size control operates on
-detached values and is not differentiated.
+first stage k1 that the loop evaluates.  Every sum of an attempt's stages,
+dopri5's dense output among them, is one stage sum (_stage_sum) with one
+backward.  Step-size control operates on detached values and is not
+differentiated.
 """
 
 from __future__ import annotations
@@ -98,9 +100,8 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-# 4th-order continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
-# sec. II.6, their DOPRI5 code): h(t + theta*dt) = h + dt * sum_i w_i k_i with
-# w = theta * (1, s, theta*s, theta*s^2) @ _DP_DENSE, s = 1 - theta
+# the 4th-order continuous extension's Tableau.dense (Hairer, Norsett and
+# Wanner, Solving ODEs I, sec. II.6, their DOPRI5 code)
 _DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
          -10690763975 / 1880347072, 701980252875 / 199316789632,
          -1453857185 / 822651844, 69997945 / 29380423)
@@ -144,11 +145,15 @@ class Tableau:
     2..s, then h_next, then, for an adaptive method, the local error
     estimate.  Each row's plan (_sum_plan) follows from its zeros.  The
     method is FSAL (first same as last) when h_next is its last stage's
-    input; that stage is then the next step's k1."""
+    input; that stage is then the next step's k1.  ``dense``, where the
+    method has a continuous extension, holds its weights over (k1, ..., ks)
+    as a matrix D: at a fraction theta of the step they are
+    theta * (1, s, theta*s, theta*s^2) @ D, s = 1 - theta."""
 
-    def __init__(self, c: tuple[float, ...], rows: Callable[[float], np.ndarray]):
+    def __init__(self, c: tuple[float, ...], rows: Callable[[float], np.ndarray],
+                 dense: np.ndarray | None = None):
         pattern, s = rows(1.0), len(c)
-        self.c, self.rows, self.s = c, rows, s
+        self.c, self.rows, self.s, self.dense = c, rows, s, dense
         self.plans = [_sum_plan(row) for row in pattern]
         self.span = max(hi - lo for lo, hi, *_ in self.plans)  # terms of a sum
         self.adaptive = len(pattern) > s
@@ -182,10 +187,10 @@ class Attempt:
 
     On a tape the attempt is one node, ``h_next``, which keeps its
     evaluations' vjps.  After an accepted dopri5 attempt, each dense output
-    (``dense``) and its last stage, the next attempt's k1 (``fsal``), is a
-    small node that leaves its gradient with the attempt.  The backward
-    walks the sums and the vjps in the reverse order of the flat tape of one
-    node per sum and per evaluation that it replaces.  It hands back h's and
+    (``at``) and its last stage, the next attempt's k1 (``fsal``), is a small
+    node that leaves its gradient with the attempt.  The backward walks the
+    sums and the vjps in the reverse order of the flat tape of one node per
+    sum and per evaluation that it replaces.  It hands back h's and
     k1's term of each sum that has one as a pair of its own and adds up each
     stage's terms one by one, as that tape did, so every gradient has the
     flat tape's bits and memory order (convnet's bias gradient is a reduce,
@@ -193,7 +198,7 @@ class Attempt:
 
     def __init__(self, tab: Tableau, f, h: Tensor, t: float, dt: float, k1: Tensor):
         shape, s = h.data.shape, tab.s
-        self.tab, self.h, self.k1, self.dt = tab, h, k1, dt
+        self.tab, self.h, self.k1, self.t, self.dt = tab, h, k1, t, dt
         self.K = K = np.empty((s + 1,) + shape)
         K[0], K[1] = h.data, k1.data
         self.w = w = tab.rows(dt).reshape((-1, s + 1) + (1,) * len(shape))
@@ -212,30 +217,25 @@ class Attempt:
         self.G = None  # each stage's gradient, summed term by term in backward
         self.h_next = tg.record(y, self._backward)
 
-    def dense(self, coeffs: np.ndarray) -> Tensor:
-        """h + sum_i coeffs[i] * k_(i+1), term by term as the flat sum adds
-        it: a state on the attempt's span from the continuous extension's
-        weights (an export asks for many, so each is one pass per term)."""
-        K = self.K
-        cols = (np.flatnonzero(coeffs) + 1).tolist()
-        c = np.append(1.0, coeffs)
-        acc = c[0] * K[0]
-        for j in cols:
-            acc += c[j] * K[j]
+    def at(self, te: float) -> Tensor:
+        """The state at time te on the attempt's step by the tableau's
+        continuous extension (no evaluation): the row (1, span * w) over the
+        buffer, w the tableau's weights at te's fraction of the step, summed
+        and differentiated as every sum of the attempt is."""
+        span = (self.t + self.dt) - self.t  # as the step's end time gives it
+        th = (te - self.t) / span
+        w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
+        c = np.append(1.0, span * (w @ self.tab.dense))
+        plan, c = _sum_plan(c), c.reshape(self.w.shape[1:])
+        y = _stage_sum(c, self.K, plan, np.empty_like(self.K))
 
         def backward(g):
-            pairs, stages = [(self.h, g * c[0])], cols
-            if cols[0] == 1:
-                pairs.append((self.k1, g * c[1]))
-                stages = cols[1:]
-            for j in stages:
-                self._add_grad(j, g * c[j])
+            yield from self._sum_backward(plan, c, g)
             # h_next's gradient, even if nothing else gives it one, makes the
             # attempt's node run
-            pairs.append((self.h_next, np.zeros_like(g)))
-            return pairs
+            yield self.h_next, np.zeros_like(g)
 
-        return tg.record(acc, backward)
+        return tg.record(y, backward)
 
     def fsal(self) -> Tensor:
         """The last stage, the next attempt's k1 (first same as last).  With
@@ -262,12 +262,12 @@ class Attempt:
         G[r] = p.copy(order="K") if G[r] is None else G[r] + p
         return ()
 
-    def _sum_backward(self, row: int, g: np.ndarray):
-        # the gradient terms of the sum of ``row`` as one product, each row
-        # in g's memory order as the flat tape's g * c; h's and k1's go out
-        # as pairs, where the sum has them
-        *_, cols, take = self.tab.plans[row]
-        p = self.w[row, take] * g
+    def _sum_backward(self, plan, c: np.ndarray, g: np.ndarray):
+        # the gradient terms of the sum of coefficients ``c`` with ``plan``
+        # as one product, each row in g's memory order as the flat tape's
+        # g * c; h's and k1's go out as pairs, where the sum has them
+        *_, cols, take = plan
+        p = c[take] * g
         for col, term in zip(cols, p):
             if col > 1:
                 self._add_grad(col, term)
@@ -277,18 +277,18 @@ class Attempt:
     def _backward(self, g: np.ndarray):
         # a generator: the tape's loop takes each pair as it comes, so no
         # term waits in a list for the whole attempt
-        s = self.tab.s
-        yield from self._sum_backward(s - 1, g)
+        s, plans, w = self.tab.s, self.tab.plans, self.w
+        yield from self._sum_backward(plans[s - 1], w[s - 1], g)
         G = self.G
         for i in range(s - 2, -1, -1):  # stage i + 2, from its input, row i's sum
             if G[i + 2] is not None:
-                yield from self._sum_backward(i, self.vjps[i](G[i + 2]))
+                yield from self._sum_backward(plans[i], w[i], self.vjps[i](G[i + 2]))
         self.G = None
 
 
 _TABLEAUS = {"euler": Tableau((0.0,), lambda dt: np.array([[1.0, dt]])),
              "rk4": Tableau((0.0, 0.5, 0.5, 1.0), _rk4_rows),
-             "dopri5": Tableau(_DP_C, _dopri5_rows)}
+             "dopri5": Tableau(_DP_C, _dopri5_rows, _DP_DENSE)}
 # step(f, h, t, dt, k1) -> Attempt, a seam the tests swap for flat references
 _STEPS = {name: functools.partial(Attempt, tab) for name, tab in _TABLEAUS.items()}
 
@@ -361,7 +361,8 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
 
     Each step is one Attempt of the method's tableau.  The loop evaluates
     an attempt's k1 when it has none (every Euler and RK4 step, dopri5's
-    first step) and counts one evaluation for it, plus s - 1 per attempt.
+    first step, which it sizes from that k1) and counts one evaluation for
+    it, plus s - 1 per attempt.
     An output time within 1e-12 of the state already reached is recorded
     with that state, without evaluating f.  Euler and RK4 end a segment at
     every other output time and cross it in ceil(|span|/fixed_step) equal
@@ -369,7 +370,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
     adaptive steps only at times[-1], so its steps, NFE and last state are
     those of the solve to times[-1] alone; an accepted step records each
     output time it passed, within 1e-12 of its end as its end state, else by
-    the 4th-order continuous extension (Attempt.dense, no evaluation).  From
+    its tableau's continuous extension (Attempt.at, no evaluation).  From
     accepted step 1000 on, a stiffness test (STIFF_*) may end a dopri5 solve.
     """
     cfg = cfg or SolverConfig()
@@ -386,27 +387,17 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
 
     tab, step = _TABLEAUS[cfg.method], _STEPS[cfg.method]
     fixed = not tab.adaptive
-    t, h, k1, nfe = t0, x0, None, 0
-    span = abs(times[-1] - t0)
-    if not fixed and span > 1e-12:
-        k1, nfe = tg.vjp_node(f.eval, h, t), 1
-        if not np.all(np.isfinite(k1.data)):
-            raise DivergenceError(f"{cfg.method}: non-finite derivative at t={t:.6g}")
-        dt = direction * _initial_step(k1.data, x0.data, span, cfg)
+    t, h, k1, dt, nfe = t0, x0, None, None, 0
     states: list[Tensor] = []
 
     def record(t_end, h_end, attempt=None):
         # every output time up to t_end: h_end within 1e-12 of t_end, an
-        # earlier one dopri5's dense output on the step (t, h) -> t_end
+        # earlier one the dense output of the attempt that ends at t_end
         while (len(states) < len(times)
                and direction * (times[len(states)] - t_end) <= 1e-12):
             te = times[len(states)]
-            if direction * (t_end - te) <= 1e-12:
-                states.append(h_end)
-            else:
-                th = (te - t) / (t_end - t)
-                w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
-                states.append(attempt.dense((t_end - t) * (w @ _DP_DENSE)))
+            states.append(h_end if direction * (t_end - te) <= 1e-12
+                          else attempt.at(te))
 
     record(t, h)
     accepted = rejected = 0
@@ -422,6 +413,11 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                                          f"reached at t={t:.6g}", nfe)
                 if k1 is None:
                     k1, nfe = tg.vjp_node(f.eval, h, t), nfe + 1
+                if dt is None:  # dopri5's first step, sized from its k1
+                    if not np.all(np.isfinite(k1.data)):
+                        raise DivergenceError(
+                            f"{cfg.method}: non-finite derivative at t={t:.6g}")
+                    dt = direction * _initial_step(k1.data, h.data, abs(target - t), cfg)
                 dt_try = dt
                 if not fixed and direction * (t + dt - target) > 0:
                     dt_try = target - t  # clip to the last output time

@@ -37,29 +37,28 @@ class _Canvas:
         return px, py
 
     @staticmethod
-    def polyline_template(points, color, width=1.5):
+    def polyline_template(points, color):
         """A polyline element whose points attribute is the % template
         points, for each polyline's pixels to be filled in with one %."""
         return (f'<polyline points="{points}" fill="none" '
-                f'stroke="{color}" stroke-width="{width}"/>')
+                f'stroke="{color}" stroke-width="1.5"/>')
 
-    def polyline(self, pxs, pys, color, width=1.5):
+    def polyline(self, pxs, pys, color):
         """One polyline through pixel coordinates, as to_px returns them."""
         xy = np.column_stack((pxs, pys))
-        self.parts.append(self.polyline_template(("%.2f,%.2f " * len(xy))[:-1],
-                                                 color, width)
+        self.parts.append(self.polyline_template(("%.2f,%.2f " * len(xy))[:-1], color)
                           % tuple(xy.ravel().tolist()))
 
-    def circle(self, px, py, color, r=3.0):
-        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" '
+    def circle(self, px, py, color):
+        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
                           f'fill="{color}"/>')
 
-    def segment(self, x0, y0, x1, y1, color, width=1.0):
+    def segment(self, x0, y0, x1, y1, color):
         p0 = self.to_px(x0, y0)
         p1 = self.to_px(x1, y1)
         self.parts.append(f'<line x1="{p0[0]:.2f}" y1="{p0[1]:.2f}" '
                           f'x2="{p1[0]:.2f}" y2="{p1[1]:.2f}" '
-                          f'stroke="{color}" stroke-width="{width}"/>')
+                          f'stroke="{color}" stroke-width="1.0"/>')
 
     def text(self, s, x, y):
         self.parts.append(f'<text x="{x}" y="{y}" font-size="13" '
@@ -134,11 +133,12 @@ def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
 
 
 def field_plot(path, points: np.ndarray, vectors: np.ndarray,
-               title: str = "", scale: float = 0.15) -> None:
-    """Arrows (plain segments) for a 2-d vector field sample."""
+               title: str = "") -> None:
+    """Arrows (plain segments) for a 2-d vector field sample, each 0.15 of
+    the plot's units at the sample's largest norm."""
     c = _Canvas()
     c.set_limits(_limits([points[:, 0]]), _limits([points[:, 1]]))
     norm = np.max(np.linalg.norm(vectors, axis=1)) or 1.0
     for (x, y), (u, v) in zip(points, vectors):
-        c.segment(x, y, x + scale * u / norm, y + scale * v / norm, _COLORS[0])
+        c.segment(x, y, x + 0.15 * u / norm, y + 0.15 * v / norm, _COLORS[0])
     c.write(path, title)

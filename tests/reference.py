@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from anodelab import tensorgrad as tg
 from anodelab.models import ConvDynamics
-from anodelab.odeint import _DP_A, _DP_B5, _DP_C, _DP_E
+from anodelab.odeint import _DP_A, _DP_B5, _DP_C, _DP_DENSE, _DP_E
 from anodelab.tensorgrad import ShapeError, Tensor
 
 
@@ -200,14 +200,22 @@ class UnfusedConvDynamics(ConvDynamics):
 
 
 class FlatStages:
-    """A flat-tape attempt behind odeint.Attempt's interface: its h_next,
-    error estimate (None for a fixed-step method), a dense output as one
-    lincomb node, and its last stage's evaluation node as the next k1."""
+    """A flat-tape attempt of step dt from (h, t) behind odeint.Attempt's
+    interface: its h_next, error estimate (None for a fixed-step method),
+    dopri5's dense output as one lincomb node, and its last stage's
+    evaluation node as the next k1."""
 
-    def __init__(self, h, ks, h_next, err=None):
-        self.h, self.ks, self.h_next, self.err = h, ks, h_next, err
+    def __init__(self, h, t, dt, ks, h_next, err=None):
+        self.h, self.t, self.dt, self.ks = h, t, dt, ks
+        self.h_next, self.err = h_next, err
 
-    def dense(self, coeffs):
+    def at(self, te):
+        # dopri5's 4th-order continuous extension at te:
+        # h + span * sum_i w_i k_i, w = th * (1, s, th*s, th*s^2) @ _DP_DENSE
+        t_end = self.t + self.dt
+        th = (te - self.t) / (t_end - self.t)
+        w = th * np.array([1.0, 1 - th, th * (1 - th), th * (1 - th) ** 2])
+        coeffs = (t_end - self.t) * (w @ _DP_DENSE)
         return lincomb((1.0, *coeffs), (self.h, *self.ks))
 
     def fsal(self):
@@ -218,7 +226,7 @@ def flat_euler_step(f, h, t, dt, k1):
     """Reference for the Euler attempt: the step as one lincomb node, as the
     solver recorded it before its one attempt class; k1 = f(h, t) is the
     loop's node."""
-    return FlatStages(h, [k1], lincomb((1.0, dt), (h, k1)))
+    return FlatStages(h, t, dt, [k1], lincomb((1.0, dt), (h, k1)))
 
 
 def flat_rk4_step(f, h, t, dt, k1):
@@ -228,7 +236,7 @@ def flat_rk4_step(f, h, t, dt, k1):
     k2 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k1)), t + dt / 2)
     k3 = tg.vjp_node(f.eval, lincomb((1.0, dt / 2), (h, k2)), t + dt / 2)
     k4 = tg.vjp_node(f.eval, lincomb((1.0, dt), (h, k3)), t + dt)
-    return FlatStages(h, [k1, k2, k3, k4], lincomb(
+    return FlatStages(h, t, dt, [k1, k2, k3, k4], lincomb(
         (1.0, dt / 6, dt / 3, dt / 3, dt / 6), (h, k1, k2, k3, k4)))
 
 
@@ -241,7 +249,7 @@ def flat_dopri5_step(f, h, t, dt, k1):
         ks.append(tg.vjp_node(f.eval, y, t + _DP_C[i] * dt))
     h_next = lincomb((1.0,) + tuple(dt * b for b in _DP_B5[:6]), (h, *ks[:6]))
     err = sum(dt * e * k.data for e, k in zip(_DP_E, ks) if e != 0.0)
-    return FlatStages(h, ks, h_next, err)
+    return FlatStages(h, t, dt, ks, h_next, err)
 
 
 # the flat reference of each method's attempt, for odeint._STEPS

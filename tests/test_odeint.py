@@ -697,6 +697,38 @@ class TestFusedAttempt:
         dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
         assert nodes == accepted + rejected + accepted + dense + 1 + 2
 
+    @pytest.mark.parametrize("spec,shape,t0,times", [
+        (MLP, (16, 2), 0.0, [0.0, 0.2, 0.55, 1.0]),
+        (ANODE, (8, 5), 0.0, [0.3, 0.7, 1.0]),
+        (CONV, (3, 2, 4, 4), 0.0, [0.25, 0.5, 1.0]),
+        (MLP, (16, 2), 1.0, [0.6, 0.1, -0.3]),
+        (ANODE, (8, 5), 1.0, [0.5, -0.4]),
+        (CONV, (3, 2, 4, 4), 1.0, [0.4, 0.0]),
+    ], ids=["node", "anode", "conv", "node-backward", "anode-backward",
+            "conv-backward"])
+    def test_no_grad_states_match_taped(self, spec, shape, t0, times):
+        # a multi-time dopri5 solve: every output time, dense or a step's
+        # end, has the same bits on a tape and under no_grad, where the
+        # attempt keeps no vjps and fsal() hands the next attempt a copy
+        x0 = np.random.default_rng(3).standard_normal(shape)
+        x0[:, spec.state_dim - spec.aug:] = 0.0
+        cfg = SolverConfig(rtol=1e-5, atol=1e-5)
+        dynamics = Model(spec, seed=4).dynamics
+        with CompGraph() as g:
+            taped_sol = integrate(dynamics, Tensor(x0), t0, times, cfg)
+        with CompGraph() as none, tg.no_grad():
+            sol = integrate(dynamics, Tensor(x0), t0, times, cfg)
+        assert len(none) == 0
+        counts = (sol.nfe, sol.steps_accepted, sol.steps_rejected)
+        assert counts == (taped_sol.nfe, taped_sol.steps_accepted,
+                          taped_sol.steps_rejected)
+        # every output time before the last is a dense output: one node
+        # each, beside the attempts', the k7s' and the first k1's
+        dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
+        assert len(g) == 2 * sol.steps_accepted + sol.steps_rejected + dense + 1
+        for a, b in zip(taped_sol.states, sol.states):
+            assert a.shape == b.shape and bits(a.data).tolist() == bits(b.data).tolist()
+
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("spec,shape,t0,times,loss_at", [
         (MLP, (16, 2), 0.0, [1.0], [0]),
@@ -773,7 +805,7 @@ class TestFusedAttempt:
             with tg.no_grad():
                 k1 = tg.vjp_node(f.eval, h, 0.0)
                 attempt = dopri5_step(f, h, 0.0, 0.1, k1)
-                attempt.dense(np.full(7, 0.01))
+                attempt.at(0.05)
                 attempt.fsal()
         assert len(g) == 0 and attempt.vjps is None
         with CompGraph() as g:
