@@ -49,6 +49,8 @@ COMMANDS = [
     ("nfe", ["nfe", "--epochs", "2", "--snapshot-every", "1", "--svg"]),
     ("sweep", ["sweep", "--model", "node", "--epochs", "1", "--cv-folds", "2",
                "--n-inner", "40", "--n-outer", "40"]),
+    ("sweep-resnet", ["sweep", "--model", "resnet", "--epochs", "1", "--cv-folds",
+                      "2", "--n-inner", "20", "--n-outer", "20"]),
     ("mnist-mini", ["mnist-mini", "--data-dir", "idx", "--train-limit", "48",
                     "--test-limit", "16", "--epochs", "1", "--svg"]),
     ("export-flows-1d", ["export-flows", "--checkpoint", "toy-1d-anode/anode.ckpt",
@@ -56,7 +58,8 @@ COMMANDS = [
     ("export-flows-2d", ["export-flows", "--checkpoint", "toy-2d-node/node.ckpt",
                          "--n-points", "40", "--n-times", "9", "--svg"]),
     ("export-flows-resnet", ["export-flows", "--checkpoint",
-                             "toy-1d-resnet/resnet.ckpt", "--n-points", "20"]),
+                             "toy-1d-resnet/resnet.ckpt", "--n-points", "20",
+                             "--svg"]),
     # failing runs: a stiff solve, a stiff solve after the epoch-0 features
     # snapshot, and both generalization fits diverging
     ("toy-2d-node-stiff", ["toy", "--dim", "2", "--model", "node", "--lr", "1e3",

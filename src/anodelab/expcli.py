@@ -68,20 +68,10 @@ def write_blocks(path, header: str, blocks) -> None:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """The CSV writer of rows of mixed cells: each row is drawn, formatted by
-    cell_format through one % template built once per tuple of cell types,
-    and written before the next is drawn."""
-    templates: dict[tuple[type, ...], str] = {}
-
-    def lines():
-        for row in rows:
-            row = tuple(row)
-            key = tuple(map(type, row))
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = ",".join(map(cell_format, key)) + "\n"
-            yield template % row
-    write_blocks(path, header, lines())
+    """The CSV writer of rows of mixed cells: each row is drawn, formatted
+    cell by cell by cell_format, and written before the next is drawn."""
+    write_blocks(path, header, (",".join([cell_format(type(c)) % c for c in row])
+                                + "\n" for row in rows))
 
 
 def save_checkpoint(path, model: mdl.Model) -> None:
@@ -152,13 +142,13 @@ def resolve_config(defaults: dict, file_cfg: dict[str, str],
     return cfg
 
 
-def write_manifest(out_dir: Path, name: str, cfg: dict, seeds: list[int]) -> dict:
-    resolved = {k: v for k, v in sorted(cfg.items())}
-    payload = json.dumps({"experiment": name, "config": resolved,
-                          "seeds": seeds}, sort_keys=True)
+def write_manifest(out_dir: Path, name: str, cfg: dict) -> None:
+    seeds = [cfg["seed"]]
+    payload = json.dumps({"experiment": name, "config": cfg, "seeds": seeds},
+                         sort_keys=True)
     manifest = {
         "experiment": name,
-        "config": resolved,
+        "config": cfg,
         "seeds": seeds,
         "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
         "output_dir": str(out_dir),
@@ -167,7 +157,6 @@ def write_manifest(out_dir: Path, name: str, cfg: dict, seeds: list[int]) -> dic
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
 
 
 def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
@@ -175,9 +164,8 @@ def write_record_csvs(out_dir: Path, stem: str, record: trn.TrainRecord,
     write_csv(out_dir / f"{stem}_train.csv", trn.TrainRecord.CSV_HEADER,
               record.rows())
     if want_svg:
-        ep = record.metric("epoch")
-        svg.line_plot(out_dir / f"{stem}_loss.svg",
-                      {"train_loss": (ep, record.metric("train_loss"))},
+        svg.line_plot(out_dir / f"{stem}_loss.svg", record.metric("epoch"),
+                      record.metric("train_loss"), "train_loss",
                       title=f"{stem}: training loss")
 
 
@@ -276,9 +264,8 @@ def plan_nfe(cfg: dict, train: trn.TrainConfig):
         write_csv(out / "nfe_vs_loss.csv", "nfe_forward_mean,train_loss",
                   ((e.nfe_forward_mean, e.train_loss) for e in record.epochs))
         if want_svg:
-            svg.line_plot(out / "nfe.svg",
-                          {"nfe": (record.metric("epoch"),
-                                   record.metric("nfe_forward_mean"))},
+            svg.line_plot(out / "nfe.svg", record.metric("epoch"),
+                          record.metric("nfe_forward_mean"), "nfe",
                           title="NFE per epoch")
         if record.error is not None:
             return None
@@ -366,17 +353,16 @@ def plan_sweep(cfg: dict, train: trn.TrainConfig):
     if not 2 <= folds <= len(dataset):
         raise ConfigError(f"--cv-folds must lie in [2, {len(dataset)}] "
                           "(n-inner + n-outer)")
+    if kind not in mdl.KINDS:  # so no cell's spec fails after the manifest
+        raise ConfigError(f"unknown model kind {kind!r}")
     grid = {"batch_size": [64, 128], "lr": [1e-3, 5e-4, 1e-4], "hidden": [16, 32],
             **{"anode": {"aug": [1, 2, 5]},
                "resnet": {"layers": [2, 5, 10]}}.get(kind, {})}
-    specs = {str(c): mdl.ModelSpec(kind=kind, input_dim=dim, hidden_dim=c["hidden"],
-                                   p=c.get("aug", 0), output_dim=1,
-                                   resnet_layers=c.get("layers", 0))
-             for c in trn.grid_cells(grid)}
 
     def write(out: Path, want_svg: bool, fits: dict) -> str:
-        results = trn.grid_search(grid, lambda cell: specs[str(cell)], dataset,
-                                  folds, train)
+        results = trn.grid_search(grid, lambda c: mdl.ModelSpec(
+            kind=kind, input_dim=dim, hidden_dim=c["hidden"], p=c.get("aug", 0),
+            output_dim=1, resnet_layers=c.get("layers", 0)), dataset, folds, train)
         keys = sorted({k for r in results for k in r.cell})
         write_csv(out / "sweep_folds.csv", ",".join(keys) + ",fold,val_loss",
                   ((*(r.cell.get(k, "") for k in keys), fold, loss)
@@ -524,7 +510,7 @@ def run_command(name: str, args: argparse.Namespace) -> int:
     except MemoryError as exc:
         raise ConfigError(f"the planned run does not fit in memory ({exc})") from exc
     out = Path(cfg["out"])
-    write_manifest(out, name, cfg, [cfg["seed"]])
+    write_manifest(out, name, cfg)
     fits = {stem: (record, mdl.Model(jobs[stem].spec, data=params))
             for stem, (record, params) in zip(jobs, trn.run_fits(list(jobs.values())))}
     failures = [f"{stem}: training failed: {record.error}"

@@ -5,11 +5,11 @@ property, each an explicit Runge-Kutta tableau (Tableau), whose every step
 attempt is one Attempt, all run by one integration loop (integrate) over
 dynamics that evaluate on arrays (Dynamics).  All state arithmetic is
 recorded on the active CompGraph, so backward() differentiates through the
-solver (discretize-then-optimize): each attempt is one node, and so is each
-first stage k1 that the loop evaluates.  Every sum of an attempt's stages,
-dopri5's dense output among them, is one stage sum (_stage_sum) with one
-backward.  Step-size control operates on detached values and is not
-differentiated.
+solver (discretize-then-optimize): each accepted attempt is one node, and
+so is each first stage k1 that the loop evaluates.  Every sum of an
+attempt's stages, dopri5's dense output among them, is one stage sum
+(_stage_sum) with one backward.  Step-size control operates on detached
+values and is not differentiated.
 """
 
 from __future__ import annotations
@@ -185,16 +185,18 @@ class Attempt:
     buffer ``K``, whose row 0 is h, and each of its sums (tab.rows) as one
     _stage_sum over ``K``.  It evaluates f s - 1 times.
 
-    On a tape the attempt is one node, ``h_next``, which keeps its
-    evaluations' vjps.  After an accepted dopri5 attempt, each dense output
-    (``at``) and its last stage, the next attempt's k1 (``fsal``), is a small
-    node that leaves its gradient with the attempt.  The backward walks the
-    sums and the vjps in the reverse order of the flat tape of one node per
-    sum and per evaluation that it replaces.  It hands back h's and
-    k1's term of each sum that has one as a pair of its own and adds up each
-    stage's terms one by one, as that tape did, so every gradient has the
-    flat tape's bits and memory order (convnet's bias gradient is a reduce,
-    whose rounding follows it).  With no active graph nothing is kept."""
+    On a tape an accepted attempt is one node, h_next (the array ``y``
+    until ``take``), which keeps its evaluations' vjps; a rejected one is
+    never recorded, so its buffer and vjps go with it.  After an accepted
+    dopri5 attempt, each dense output (``at``) and its last stage, the next
+    attempt's k1 (``fsal``), is a small node that leaves its gradient with
+    the attempt.  The backward walks the sums and the vjps in the reverse
+    order of the flat tape of one node per sum and per evaluation that it
+    replaces.  It hands back h's and k1's term of each sum that has one as
+    a pair of its own and adds up each stage's terms one by one, as that
+    tape did, so every gradient has the flat tape's bits and memory order
+    (convnet's bias gradient is a reduce, whose rounding follows it).  With
+    no active graph nothing is kept."""
 
     def __init__(self, tab: Tableau, f, h: Tensor, t: float, dt: float, k1: Tensor):
         shape, s = h.data.shape, tab.s
@@ -215,7 +217,12 @@ class Attempt:
             y = _stage_sum(w[s - 1], K, tab.plans[s - 1], P)
         self.err = _stage_sum(w[s], K, tab.plans[s], P) if tab.adaptive else None
         self.G = None  # each stage's gradient, summed term by term in backward
-        self.h_next = tg.record(y, self._backward)
+        self.y = y
+
+    def take(self) -> Tensor:
+        """h_next, the accepted attempt's result, recorded as its node."""
+        self.h_next = tg.record(self.y, self._backward)
+        return self.h_next
 
     def at(self, te: float) -> Tensor:
         """The state at time te on the attempt's step by the tableau's
@@ -250,7 +257,7 @@ class Attempt:
         y(s-1) stage s - 1's input (row s - 3)."""
         K, s = self.K, self.tab.s
         y = _stage_sum(self.w[s - 3], K, self.tab.plans[s - 3], np.empty_like(K))
-        dy, dk = self.h_next.data - y, K[s] - K[s - 1]
+        dy, dk = self.y - y, K[s] - K[s - 1]
         den = np.vdot(dy, dy)
         return abs(self.dt) * float(np.sqrt(np.vdot(dk, dk) / den)) if den else 0.0
 
@@ -423,16 +430,16 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                     dt_try = target - t  # clip to the last output time
                 attempt = step(f, h, t, dt_try, k1)
                 nfe += tab.s - 1
-                h_next = attempt.h_next
-                if not np.isfinite(h_next.data).all():
+                if not np.isfinite(attempt.y).all():
                     raise DivergenceError(f"{cfg.method}: non-finite state "
                                           f"at t={t:.6g}")
                 accept = fixed
                 if not fixed:
-                    norm = error_norm(attempt.err, h.data, h_next.data, cfg, per_sample)
+                    norm = error_norm(attempt.err, h.data, attempt.y, cfg, per_sample)
                     accept, dt_mag = adapt_step(norm, abs(dt_try))
                     dt = direction * dt_mag
                 if accept:
+                    h_next = attempt.take()
                     if not fixed:
                         record(t + dt_try, h_next, attempt)
                     t, h = t + dt_try, h_next
@@ -450,7 +457,7 @@ def integrate(f: Dynamics, x0: Tensor, t0: float, times: Sequence[float],
                                 f"t={t:.6g} ({accepted} steps accepted)", nfe)
                 else:
                     rejected += 1
-                attempt = None  # its buffers go before the next attempt's
+                attempt = None  # its buffers, unless its node keeps them, go now
             if fixed:
                 t = target
                 record(t, h)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLORS = ("#1f77b4", "#d62728")
 
 
 class _Canvas:
@@ -43,23 +43,6 @@ class _Canvas:
         return (f'<polyline points="{points}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>')
 
-    def polyline(self, pxs, pys, color):
-        """One polyline through pixel coordinates, as to_px returns them."""
-        xy = np.column_stack((pxs, pys))
-        self.parts.append(self.polyline_template(("%.2f,%.2f " * len(xy))[:-1], color)
-                          % tuple(xy.ravel().tolist()))
-
-    def circle(self, px, py, color):
-        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.0" '
-                          f'fill="{color}"/>')
-
-    def segment(self, x0, y0, x1, y1, color):
-        p0 = self.to_px(x0, y0)
-        p1 = self.to_px(x1, y1)
-        self.parts.append(f'<line x1="{p0[0]:.2f}" y1="{p0[1]:.2f}" '
-                          f'x2="{p1[0]:.2f}" y2="{p1[1]:.2f}" '
-                          f'stroke="{color}" stroke-width="1.0"/>')
-
     def text(self, s, x, y):
         self.parts.append(f'<text x="{x}" y="{y}" font-size="13" '
                           f'font-family="sans-serif">{s}</text>')
@@ -85,17 +68,15 @@ def _limits(arrs):
     return lo - pad, hi + pad
 
 
-def line_plot(path, series: dict[str, tuple[np.ndarray, np.ndarray]],
-              title: str = "") -> None:
-    """series: name -> (x, y) arrays; one colored polyline each."""
+def line_plot(path, x, y, name: str, title: str = "") -> None:
+    """One polyline through the points (x, y), labelled name."""
     c = _Canvas()
-    xs = [np.asarray(v[0], dtype=float) for v in series.values()]
-    ys = [np.asarray(v[1], dtype=float) for v in series.values()]
-    c.set_limits(_limits(xs), _limits(ys))
-    for i, (name, (x, y)) in enumerate(series.items()):
-        color = _COLORS[i % len(_COLORS)]
-        c.polyline(*c.to_px(np.asarray(x, float), np.asarray(y, float)), color)
-        c.text(name, c.width - c.margin - 120, c.margin + 16 * i)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    c.set_limits(_limits([x]), _limits([y]))
+    xy = np.column_stack(c.to_px(x, y))
+    c.parts.append(c.polyline_template(("%.2f,%.2f " * len(xy))[:-1], _COLORS[0])
+                   % tuple(xy.ravel().tolist()))
+    c.text(name, c.width - c.margin - 120, c.margin)
     c.write(path, title)
 
 
@@ -120,12 +101,13 @@ def trajectory_plot(path, states: np.ndarray, labels: np.ndarray,
         px, py = c.to_px(states[:, :, 0], states[:, :, 1])
         points = ("%.2f,%.2f " * n_times)[:-1]
         pixels = np.stack((px, py), axis=-1)  # every point's x, y interleaved
-    lines = {color: c.polyline_template(points, color) for color in _COLORS[:2]}
+    lines = {color: c.polyline_template(points, color) for color in _COLORS}
     for i in range(n_pts):
         color = _COLORS[0] if labels[i] > 0 else _COLORS[1]
         c.parts.append(lines[color] % tuple(pixels[i].ravel().tolist()))
         if dim > 1:
-            c.circle(px[i, 0], py[i, 0], color)
+            c.parts.append(f'<circle cx="{px[i, 0]:.2f}" cy="{py[i, 0]:.2f}" '
+                           f'r="3.0" fill="{color}"/>')
     # free the pixel arrays before write() joins the document: held, they
     # raise the export's peak RSS by more than their size
     del px, py, pixels
@@ -140,5 +122,8 @@ def field_plot(path, points: np.ndarray, vectors: np.ndarray,
     c.set_limits(_limits([points[:, 0]]), _limits([points[:, 1]]))
     norm = np.max(np.linalg.norm(vectors, axis=1)) or 1.0
     for (x, y), (u, v) in zip(points, vectors):
-        c.segment(x, y, x + 0.15 * u / norm, y + 0.15 * v / norm, _COLORS[0])
+        (x0, y0), (x1, y1) = c.to_px(x, y), c.to_px(x + 0.15 * u / norm,
+                                                    y + 0.15 * v / norm)
+        c.parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
+                       f'y2="{y1:.2f}" stroke="{_COLORS[0]}" stroke-width="1.0"/>')
     c.write(path, title)

@@ -201,13 +201,18 @@ class UnfusedConvDynamics(ConvDynamics):
 
 class FlatStages:
     """A flat-tape attempt of step dt from (h, t) behind odeint.Attempt's
-    interface: its h_next, error estimate (None for a fixed-step method),
-    dopri5's dense output as one lincomb node, and its last stage's
-    evaluation node as the next k1."""
+    interface: h_next's array y, its error estimate (None for a fixed-step
+    method), h_next itself once the loop takes the attempt, dopri5's dense
+    output as one lincomb node, and its last stage's evaluation node as the
+    next k1.  Every node is recorded as it is computed, a rejected attempt's
+    too, as the flat tape recorded them."""
 
     def __init__(self, h, t, dt, ks, h_next, err=None):
         self.h, self.t, self.dt, self.ks = h, t, dt, ks
-        self.h_next, self.err = h_next, err
+        self.h_next, self.y, self.err = h_next, h_next.data, err
+
+    def take(self):
+        return self.h_next
 
     def at(self, te):
         # dopri5's 4th-order continuous extension at te:

@@ -695,6 +695,48 @@ def per_point_trajectory_plot(path, states, labels, title):
     c.write(path)
 
 
+def per_arrow_field_plot(path, points, vectors, title):
+    """The per-arrow svg.field_plot, kept as its reference: each arrow's
+    ends mapped point by point and written by one f-string."""
+    c = svg._Canvas()
+    c.set_limits(svg._limits([points[:, 0]]), svg._limits([points[:, 1]]))
+    norm = max(math.sqrt(u * u + v * v) for u, v in vectors.tolist()) or 1.0
+    for (x, y), (u, v) in zip(points.tolist(), vectors.tolist()):
+        x0, y0 = per_point_to_px(c, x, y)
+        x1, y1 = per_point_to_px(c, x + 0.15 * u / norm, y + 0.15 * v / norm)
+        c.parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
+                       f'y2="{y1:.2f}" stroke="{svg._COLORS[0]}" stroke-width="1.0"/>')
+    c.text(title, c.margin, 20)
+    c.write(path)
+
+
+def per_point_line_plot(path, xs, ys, name, title):
+    """The per-point svg.line_plot of one series, kept as its reference."""
+    c = svg._Canvas()
+    c.set_limits(svg._limits([np.asarray(xs, float)]),
+                 svg._limits([np.asarray(ys, float)]))
+    pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in
+                   (per_point_to_px(c, float(x), float(y)) for x, y in zip(xs, ys)))
+    c.parts.append(f'<polyline points="{pts}" fill="none" '
+                   f'stroke="{svg._COLORS[0]}" stroke-width="1.5"/>')
+    c.text(name, c.width - c.margin - 120, c.margin)
+    c.text(title, c.margin, 20)
+    c.write(path)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (np.arange(5), np.array([0.9, 0.5, 0.31, 0.305, 0.2])),
+    (np.arange(3), np.array([2.5, 2.5, 2.5])),       # a flat series
+    (np.array([0.0]), np.array([-1e300])),
+    (np.arange(40), np.random.default_rng(1).standard_normal(40) * 1e-9),
+    (np.zeros(0), np.zeros(0)),                       # a record of no epochs
+], ids=["loss", "flat", "one-point", "tiny-range", "empty"])
+def test_line_plot_matches_per_point_rule(tmp_path, xs, ys):
+    svg.line_plot(tmp_path / "new.svg", xs, ys, "train_loss", title="loss")
+    per_point_line_plot(tmp_path / "ref.svg", xs, ys, "train_loss", "loss")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
 EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
                                5e-324, 2.2250738585072014e-308, 1e16, 1 / 3])
 FLOATS = st.floats() | EDGE_FLOATS
@@ -784,12 +826,13 @@ class TestExportFlowsCommand:
         ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=8),
         ModelSpec(kind="node", input_dim=1, hidden_dim=8, head="identity"),
         ModelSpec(kind="resnet", input_dim=1, hidden_dim=8, resnet_layers=5),
-        ModelSpec(kind="anode", input_dim=2, p=2, hidden_dim=8)],
-        ids=["anode", "node-1d", "resnet", "anode-2d"])
+        ModelSpec(kind="anode", input_dim=2, p=2, hidden_dim=8),
+        ModelSpec(kind="node", input_dim=2, hidden_dim=8)],
+        ids=["anode", "node-1d", "resnet", "anode-2d", "node-2d"])
     def test_artifacts_match_per_cell_and_per_point_rules(self, tmp_path, spec):
-        """flow.csv, field.csv and flow.svg are byte for byte what the
-        per-cell CSV rule and the per-point SVG rule give for the same model;
-        a resnet has no field.csv."""
+        """flow.csv, field.csv, flow.svg and field.svg are byte for byte what
+        the per-cell CSV rule and the per-point SVG rules give for the same
+        model; a resnet has no field.csv, and only a 2-d state a field.svg."""
         ckpt = self._checkpoint(tmp_path, spec)
         out, ref = tmp_path / "flows", tmp_path / "ref"
         assert run(["export-flows", "--checkpoint", str(ckpt), "--out", str(out),
@@ -821,13 +864,18 @@ class TestExportFlowsCommand:
                             axis=-1).reshape(-1, min(sd, 2))
             mesh = np.pad(mesh, ((0, 0), (0, sd - mesh.shape[1])))
             times = [0.0, 0.5, 1.0]
+            vecs = vector_field(model, mesh, times)
             per_cell_write_csv(ref / "field.csv",
                                "t," + ",".join(f"x{i}" for i in range(sd)) + "," +
                                ",".join(f"f{i}" for i in range(sd)),
-                               [[t, *pt, *vec]
-                                for t, at_t in zip(times, vector_field(model, mesh, times))
+                               [[t, *pt, *vec] for t, at_t in zip(times, vecs)
                                 for pt, vec in zip(mesh, at_t)])
             names.append("field.csv")
+            if sd == 2:
+                per_arrow_field_plot(ref / "field.svg", mesh, vecs[0],
+                                     title="vector field at t=0")
+                names.append("field.svg")
+        assert (out / "field.svg").exists() == ("field.svg" in names)
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -1025,7 +1073,7 @@ class TestManifestFirst:
         ["toy", "--solver-rtol", "nan"], ["toy", "--lr", "nan"],
         ["toy", "--lr", "inf"], ["toy", "--wd", "nan"],
         ["toy", "--solver-rtol", "inf"], ["toy", "--solver-atol", "inf"],
-        ["sweep", "--dim", "1751"]])
+        ["sweep", "--dim", "1751"], ["sweep", "--model", "foo"]])
     def test_config_error_writes_no_manifest(self, tmp_path, argv):
         out = tmp_path / "out"
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG

@@ -2,6 +2,8 @@
 evaluation accounting, step control behavior, and differentiation through the
 discrete trajectory."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -525,7 +527,7 @@ class TestStepController:
         attempt = dopri5_step(f, h, 0.0, 0.1, k1)
         assert attempt.K.shape == (8, 1)
         assert attempt.K[0] == h.data and attempt.K[1] == k1.data
-        assert np.allclose(attempt.fsal().data, attempt.h_next.data)  # dh/dt = h
+        assert np.allclose(attempt.fsal().data, attempt.y)  # dh/dt = h
 
 
 class TestInitialStep:
@@ -692,10 +694,36 @@ class TestFusedAttempt:
             assert rejected > 0
         for a, b in zip(got, want):
             assert a.shape == b.shape and bits(a).tolist() == bits(b).tolist()
-        # one node per attempt, one for each accepted attempt's k7, one per
-        # interpolated state; then the first k1's and the loss's two
+        # one node per accepted attempt and one for its k7 (a rejected
+        # attempt is not recorded), one per interpolated state; then the
+        # first k1's and the loss's two
         dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
-        assert nodes == accepted + rejected + accepted + dense + 1 + 2
+        assert nodes == 2 * accepted + dense + 1 + 2
+
+    def test_rejected_attempts_leave_the_tape(self, monkeypatch):
+        # a taped solve that rejects attempts: before backward, each
+        # rejected attempt's stage buffer is freed, and the tape holds one
+        # node per accepted attempt, that attempt's h_next
+        attempts = []
+
+        def step(*args):
+            attempt = dopri5_step(*args)
+            attempts.append((weakref.ref(attempt), weakref.ref(attempt.K)))
+            return attempt
+
+        monkeypatch.setitem(odeint._STEPS, "dopri5", step)
+        x0 = np.random.default_rng(3).standard_normal((8, 2))
+        model = Model(self.MLP, seed=4)
+        with CompGraph() as g:
+            sol = integrate(model.dynamics, Tensor(x0), 0.0, [1.0],
+                            SolverConfig(rtol=1e-7, atol=1e-7))
+        assert sol.steps_rejected > 0
+        alive = [a() for a, _ in attempts if a() is not None]
+        assert sum(K() is None for _, K in attempts) == sol.steps_rejected
+        assert len(alive) == sol.steps_accepted
+        # each accepted attempt and its k7, then the first k1
+        assert len(g) == 2 * sol.steps_accepted + 1
+        assert {id(a.h_next) for a in alive} <= {id(n.tensor) for n in g.nodes}
 
     @pytest.mark.parametrize("spec,shape,t0,times", [
         (MLP, (16, 2), 0.0, [0.0, 0.2, 0.55, 1.0]),
@@ -723,9 +751,9 @@ class TestFusedAttempt:
         assert counts == (taped_sol.nfe, taped_sol.steps_accepted,
                           taped_sol.steps_rejected)
         # every output time before the last is a dense output: one node
-        # each, beside the attempts', the k7s' and the first k1's
+        # each, beside the accepted attempts', the k7s' and the first k1's
         dense = sum(1 for te in times if abs(te - t0) > 1e-12) - 1
-        assert len(g) == 2 * sol.steps_accepted + sol.steps_rejected + dense + 1
+        assert len(g) == 2 * sol.steps_accepted + dense + 1
         for a, b in zip(taped_sol.states, sol.states):
             assert a.shape == b.shape and bits(a.data).tolist() == bits(b.data).tolist()
 
@@ -805,12 +833,15 @@ class TestFusedAttempt:
             with tg.no_grad():
                 k1 = tg.vjp_node(f.eval, h, 0.0)
                 attempt = dopri5_step(f, h, 0.0, 0.1, k1)
+                attempt.take()
                 attempt.at(0.05)
                 attempt.fsal()
         assert len(g) == 0 and attempt.vjps is None
         with CompGraph() as g:
             k1 = tg.vjp_node(f.eval, h, 0.0)
             attempt = dopri5_step(f, h, 0.0, 0.1, k1)
+            assert len(g) == 1  # nothing of the attempt before it is taken
+            attempt.take()
         # the first k1's node, then the attempt's; the attempt keeps the
         # six evaluations' vjps
         assert len(g) == 2 and attempt.h_next._id == 1 and len(attempt.vjps) == 6
