@@ -16,6 +16,12 @@ input and every parameter, and hashes one vector field.
     python scripts/digest_probe.py > b.txt      # in the other
     diff a.txt b.txt
 
+A run with BLAS unpinned must print the same lines as a run with BLAS
+pinned (``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1``) where
+NumPy is a wheel with its own OpenBLAS: every lane of a multi-lane command
+computes on one BLAS thread either way, and the one-fit commands and the
+solves are too small for BLAS to split.
+
 The package is imported from the ``src/`` beside this script.
 """
 

@@ -250,6 +250,44 @@ def _run_lane(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
 _WORKER = ("import sys; sys.path.insert(0, {src!r}); "
            "from anodelab.train import _serve_lane; _serve_lane({parent})")
 
+# what a worker's environment sets over the caller's: one BLAS thread, and a
+# glibc that keeps freed memory until the worker exits (allocations below 64
+# MiB come from the heap, which is trimmed only past 128 MiB free), so the
+# conv temporaries that every evaluation frees are not faulted in anew.  Both
+# malloc variables are needed: the trim threshold alone turns off glibc's
+# adaptive mmap threshold.  A libc that does not read them ignores them.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "MALLOC_MMAP_THRESHOLD_": str(64 << 20),
+               "MALLOC_TRIM_THRESHOLD_": str(128 << 20)}
+
+# (getter, setter) of the thread count of the ILP64 OpenBLAS that NumPy's
+# wheels ship: numpy >= 2 links the scipy-openblas64 package, built with
+# SYMBOLPREFIX=scipy_ and SYMBOLSUFFIX=64_ (numpy.libs/libscipy_openblas64_-*);
+# numpy 1.x wheels link openblas-libs' ILP64 build, SYMBOLSUFFIX=64_
+# (numpy.libs/libopenblas64_p-*)
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
+
+
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], object]] | None:
+    """(get, set) of the thread count of the OpenBLAS in NumPy's wheel,
+    through the library's own entry points, or None where none of
+    _BLAS_THREADS is found: any other BLAS keeps the caller's thread count.
+    They are looked up from NumPy's core extension, which links the BLAS, so
+    they act on the loaded library however its environment was set when
+    NumPy was imported."""
+    import ctypes
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):
+        return None
+    for getter, setter in _BLAS_THREADS:
+        if hasattr(lib, getter) and hasattr(lib, setter):
+            return getattr(lib, getter), getattr(lib, setter)
+    return None
+
 
 def _serve_lane(parent: int) -> None:
     import ctypes
@@ -290,9 +328,14 @@ def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
 
     The jobs run in min(available cores, jobs) lanes.  This process is lane
     0 and runs jobs[0::lanes]; lane k >= 1 is a fresh worker process, with
-    one BLAS thread, that runs jobs[k::lanes].  An exception that stops a
-    worker is raised here as it was raised there; a worker that ends without
-    a result raises ChildProcessError.  No worker outlives this call."""
+    the environment _WORKER_ENV sets, that runs jobs[k::lanes].  With more
+    than one lane, every lane computes on one BLAS thread: lane 0 through
+    _blas_threads(), and its count is restored when this call returns.  With a
+    BLAS other than NumPy's wheel's OpenBLAS, lane 0 keeps the caller's count.
+    This process's allocator and os.environ are left as they are.  An
+    exception that stops a worker is raised here as it was raised there; a
+    worker that ends without a result raises ChildProcessError.  No worker
+    outlives this call."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     lanes = min(cores, len(jobs))
     if lanes <= 1:
@@ -301,10 +344,13 @@ def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
     import tempfile
     code = _WORKER.format(src=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           parent=os.getpid())
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **_WORKER_ENV)
+    blas = _blas_threads()
+    threads = blas[0]() if blas else None
     workers = []
     try:
+        if blas:
+            blas[1](1)
         for lane in range(1, lanes):
             with tempfile.TemporaryFile() as fh:  # no pipe for the parent to block on
                 pickle.dump(jobs[lane::lanes], fh, pickle.HIGHEST_PROTOCOL)
@@ -316,6 +362,8 @@ def run_fits(jobs: Sequence[FitJob]) -> list[tuple[TrainRecord, np.ndarray]]:
             out, _ = proc.communicate()
             lane_results.append(_lane_outcome(lane, proc.returncode, out))
     finally:
+        if blas:
+            blas[1](threads)
         for proc in workers:
             with proc:  # closes its pipe and reaps it
                 proc.kill()

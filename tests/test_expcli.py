@@ -6,9 +6,11 @@ import functools
 import importlib.util
 import json
 import math
+import os
 import runpy
 import shutil
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -1266,3 +1268,31 @@ class TestLanes:
             "I/O error: fit worker 1 ended without a result "
             "(exit status -9, Killed)\n")
         workers.assert_none_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="one core runs one lane")
+    def test_checkpoints_do_not_depend_on_blas_threads(self, tmp_path):
+        """A two-lane mnist-mini writes the same checkpoints whether BLAS is
+        left at the host's thread count or set to one thread.  16 training
+        images of 2x2 pixels are enough for a two-thread OpenBLAS to split
+        the conv products that lane 0's fit computes."""
+        rng = np.random.default_rng(0)
+        for i, n in ((0, 16), (2, 8)):
+            write_idx(tmp_path / MNIST_FILES[i], tmp_path / MNIST_FILES[i + 1],
+                      rng.integers(0, 256, (n, 2, 2), dtype=np.uint8),
+                      rng.integers(0, 2, n).astype(np.uint8))
+        src = str(Path(anodelab.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); from anodelab.expcli import "
+                "main; sys.exit(main(sys.argv[1:]))")
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        checkpoints = []
+        for name, env in (("unset", unset), ("one", dict(unset, **dict.fromkeys(blas, "1")))):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-c", code, "mnist-mini", "--data-dir",
+                            str(tmp_path), "--train-limit", "16", "--test-limit", "8",
+                            "--epochs", "1", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            checkpoints.append([(out / f"{kind}.ckpt").read_bytes()
+                                for kind in ("anode", "node")])
+        assert checkpoints[0] == checkpoints[1]

@@ -1,7 +1,9 @@
 """Optimizer behavior, the training loop's record contract, determinism,
 the fit-job runner, and grid search."""
 
+import contextlib
 import gc
+import json
 import os
 import pickle
 import signal
@@ -571,15 +573,91 @@ class TestLanes:
         return FitJob(spec, Model(spec, seed=0).params.data, fast_cfg(epochs=epochs),
                       tiny_dataset() if train_set is None else train_set)
 
+    @staticmethod
+    def conv_job():
+        """A conv fit whose batch activations (16 x 8 x 12 x 12 float64, 144
+        KiB) are above glibc's default mmap threshold."""
+        spec = ModelSpec(kind="anode", input_dim=1, p=1, hidden_dim=8, output_dim=2,
+                         conv=True)
+        rng = np.random.default_rng(3)
+        images = LabeledSet(rng.uniform(size=(32, 1, 12, 12)), rng.integers(0, 2, 32))
+        return FitJob(spec, Model(spec, seed=3).params.data, fast_cfg(epochs=1, seed=3),
+                      images, images.subset(np.arange(16)))
+
     def test_results_do_not_depend_on_the_lanes(self, lanes, workers):
-        jobs = TestRunFits.jobs()
+        """MLP fits and a conv fit: the conv fit runs in the worker with two
+        lanes and in this process with three."""
+        jobs = TestRunFits.jobs() + [self.conv_job()]
         outcomes = []
         for n in (1, 2, 3):
             lanes(n)
             outcomes.append(TestRunFits.outcome(run_fits(jobs)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert [error for _, error, _, _ in outcomes[0]] == [None] * len(jobs)
         # no worker with one lane, then one, then two
         assert [proc.returncode for proc in workers] == [0, 0, 0]
+        workers.assert_none_left()
+
+    def test_worker_environment(self, tmp_path, monkeypatch, lanes, workers):
+        """A worker starts with the caller's environment plus one BLAS thread
+        and glibc's thresholds that keep freed memory, as read inside it."""
+        report = tmp_path / "worker.json"
+        monkeypatch.setattr(trn, "_WORKER", trn._WORKER + (
+            "; import json, os; from anodelab.train import _blas_threads; "
+            f"blas = _blas_threads(); open({str(report)!r}, 'w').write(json.dumps("
+            "[dict(os.environ), blas and blas[0]()]))"))
+        lanes(2)
+        run_fits([self.job(), self.job()])
+        environ, threads = json.loads(report.read_text())
+        assert environ == dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                               MKL_NUM_THREADS="1", MALLOC_MMAP_THRESHOLD_="67108864",
+                               MALLOC_TRIM_THRESHOLD_="134217728")
+        assert threads in (1, None)  # None: no BLAS entry point found
+        workers.assert_none_left()
+
+    @pytest.mark.parametrize("worker_fails", [False, True], ids=["returns", "raises"])
+    def test_caller_environ_is_left_alone(self, lanes, workers, worker_fails):
+        before = dict(os.environ)
+        lanes(2)
+        empty = LabeledSet(np.zeros((0, 1)), np.zeros(0))
+        jobs = [self.job(), self.job(train_set=empty if worker_fails else None)]
+        with (pytest.raises(ValueError, match="training set is empty") if worker_fails
+              else contextlib.nullcontext()):
+            run_fits(jobs)
+        assert dict(os.environ) == before
+        workers.assert_none_left()
+
+    @pytest.mark.parametrize("fit_fails", [False, True], ids=["returns", "raises"])
+    def test_lane_0_computes_on_one_blas_thread(self, monkeypatch, lanes, workers,
+                                                fit_fails):
+        """Lane 0's fit runs on one BLAS thread, and the caller's count is
+        back after run_fits, also when that fit raises."""
+        blas = trn._blas_threads()
+        if blas is None:
+            pytest.skip("no BLAS thread entry point found for NumPy's BLAS")
+        get, set_threads = blas
+        seen = []
+        real_fit = trn.fit
+
+        def counting_fit(*args, **kwargs):
+            seen.append(get())
+            if fit_fails:
+                raise RuntimeError("lane 0 failed")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(trn, "fit", counting_fit)
+        lanes(2)
+        caller = get()
+        set_threads(3)  # neither one nor, on a 2-core host, the default
+        try:
+            with (pytest.raises(RuntimeError, match="lane 0 failed") if fit_fails
+                  else contextlib.nullcontext()):
+                run_fits([self.job(), self.job()])
+            after = get()
+        finally:
+            set_threads(caller)
+        assert seen == [1]
+        assert after == 3
         workers.assert_none_left()
 
     def test_worker_exception_is_raised_as_raised(self, lanes, workers):
